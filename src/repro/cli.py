@@ -264,15 +264,14 @@ def _run_serve_sim(args) -> str:
                 f"({share:5.1%})"
             )
             if phase == "score":
-                # lazy backends split the score phase: the one
+                # the score phase splits into setup plus the one
                 # full-width chunk-0 pass vs alive-set refinement
                 for sub in ("score_chunk0", "score_refine"):
-                    if sub in phase_totals:
-                        seconds = phase_totals[sub]
-                        lines.append(
-                            f"      {sub[len('score_'):]:<7}"
-                            f"{1e3 * seconds / busy_steps:7.3f} ms/step"
-                        )
+                    seconds = phase_totals.get(sub, 0.0)
+                    lines.append(
+                        f"      {sub[len('score_'):]:<7}"
+                        f"{1e3 * seconds / busy_steps:7.3f} ms/step"
+                    )
     if getattr(args, "profile", False):
         from repro.obs.profile import render_profile
 
@@ -672,13 +671,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve.add_argument(
         "--kernel-backend",
-        choices=("numpy", "numba", "eager"),
+        choices=("numpy", "numba"),
         default="numpy",
-        help="fused ragged kernel score phase: the lazy alive-set "
-        "pipeline with NumPy ('numpy') or compiled ('numba', falls back "
-        "to numpy with a warning when numba is missing) contraction "
-        "primitives, or the eager full-table reference ('eager'); all "
-        "bit-identical in pruning decisions and outputs",
+        help="contraction primitives of the fused ragged kernel's lazy "
+        "alive-set score phase: NumPy ('numpy') or compiled ('numba', "
+        "falls back to numpy with a warning when numba is missing); "
+        "bit-identical outputs",
     )
     serve.add_argument(
         "--profile",

@@ -437,14 +437,12 @@ class ShardGroup:
             shard_results.append(
                 token_picker_attention_ragged(
                     qs[:, h_lo:h_hi],
-                    None,
-                    None,
                     config,
+                    k_plane_arena=pool.k_arena,
+                    segments=segments,
                     q_scales=q_scales[:, h_lo:h_hi],
                     k_scales=k_scales[:, h_lo:h_hi],
-                    k_plane_arena=pool.k_arena,
                     v_arena=pool.v_arena,
-                    segments=segments,
                     scratch=scratch,
                     phase_times=phase_times,
                 )
@@ -495,7 +493,6 @@ class ShardGroup:
         return RaggedPickerResult(
             results=results,
             lengths=first.lengths,
-            pack_order=first.pack_order,
             round_alive=round_alive,
         )
 

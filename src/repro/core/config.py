@@ -28,13 +28,10 @@ PRESET_PPL_BUDGETS = {
 
 VALID_ORDERS = ("sink_recency", "recency", "chronological")
 VALID_SCHEDULES = ("breadth", "depth")
-#: how the fused ragged kernel's score phase runs on the packed arena:
-#: "numpy" / "numba" select the lazy alive-set pipeline (pay only for
-#: undecided tokens) with the NumPy or compiled contraction primitives
-#: (see :mod:`repro.core.score_backend`); "eager" keeps the full-table
-#: reference path.  All three are bit-identical in kept sets, fetched
-#: chunks, probabilities, outputs and log denominators.
-VALID_SCORE_BACKENDS = ("numpy", "numba", "eager")
+#: contraction primitives of the fused ragged kernel's lazy alive-set
+#: score phase (see :mod:`repro.core.score_backend`): NumPy or the
+#: optional compiled ones, bit-identical to each other.
+VALID_SCORE_BACKENDS = ("numpy", "numba")
 
 
 @dataclass(frozen=True)
@@ -122,18 +119,13 @@ class TokenPickerConfig:
         include_self_in_denominator: whether a token's own lower bound is
             added to the denominator before its prune check (the hardware
             aggregates each lane's partial-exp in the same cycle, so True).
-        score_backend: the fused ragged kernel's arena score phase.
-            ``"numpy"`` (default) runs the lazy alive-set pipeline —
-            chunk 0 for every token, later chunks only for survivors —
-            with NumPy contraction primitives; ``"numba"`` runs the same
-            pipeline with the optional compiled primitives (falls back
-            to NumPy with a warning when numba is absent); ``"eager"``
-            keeps the full-table reference path.  Pruning decisions,
-            fetched chunks, probabilities, outputs and log denominators
-            are bit-identical across all three; only the reported
-            ``scores`` of *pruned* tokens differ on the lazy paths (the
-            certified upper bound at the pruning decision, since their
-            remaining chunks are never fetched — see
+        score_backend: contraction primitives of the fused ragged
+            kernel's lazy alive-set score phase (chunk 0 for every
+            token, later chunks only for survivors).  ``"numpy"``
+            (default) uses NumPy; ``"numba"`` uses the optional
+            compiled primitives (falls back to NumPy with a warning when
+            numba is absent).  The two are bit-identical in every
+            output (see
             :func:`repro.core.pruning.token_picker_attention_ragged`).
     """
 

@@ -39,7 +39,6 @@ from repro.core.quantization import (
     chunk_plane_values,
     compute_scale,
     quantize,
-    signed_chunk_digit,
 )
 from repro.core.score_backend import resolve_backend
 from repro.utils.numerics import softmax
@@ -514,8 +513,7 @@ def token_picker_attention(
         compute_scale(values, config.quant)
     )
     v_q = quantize(values, config.quant, scale=vs)
-    v_deq = v_q.dequantize()
-    result.output = result.probs @ v_deq
+    result.output = result.probs @ v_q.dequantize()
     return result
 
 
@@ -681,14 +679,14 @@ def token_picker_attention_batched(
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
         v_scale = _head_scales(v_scales, values, (1, 2))
-        v_deq = (
+        v_hat = (  # quantize-dequantized V
             np.clip(
                 np.rint(values / v_scale[:, None, None]), quant.qmin, quant.qmax
             )
             * v_scale[:, None, None]
         )
         outputs = _grouped_weighted_v(
-            flat_probs, v_deq[alive], kept_bounds, head_dim
+            flat_probs, v_hat[alive], kept_bounds, head_dim
         )
 
     return BatchedPickerResult(
@@ -707,16 +705,20 @@ def token_picker_attention_batched(
 class RaggedPickerResult:
     """Results of one fused ragged-batch kernel call.
 
-    ``results[s]`` is bit-identical to what an independent
-    :func:`token_picker_attention_batched` call on sequence ``s`` would
-    return — the fused kernel is a pure packing optimisation, never an
-    approximation.  ``lengths`` holds the per-sequence context lengths and
-    ``pack_order`` the length-sorted order the kernel processed them in.
+    ``results[s]`` holds sequence ``s``'s per-head arrays, in the
+    caller's order.  Against an independent
+    :func:`token_picker_attention_batched` call on that sequence with the
+    same scales (the *bound-score contract*): kept sets, chunks fetched,
+    probabilities, outputs, log denominators and stats are bit-identical,
+    and kept tokens' ``scores`` are the exact full-depth values, while a
+    pruned token's ``scores`` entry is its certified upper bound at the
+    round that pruned it (``>=`` the exact score; its remaining chunks
+    are never fetched).  ``lengths`` holds the per-sequence context
+    lengths.
     """
 
     results: list  # List[BatchedPickerResult], in the caller's order
     lengths: np.ndarray  # int (S,)
-    pack_order: np.ndarray  # int (S,) longest-first packing order
     #: alive (head, token) pairs entering each chunk round, plus the
     #: final kept-pair count in the last slot — shape (n_chunks + 1,).
     #: ``round_alive[b] - round_alive[b + 1]`` is how many pairs were
@@ -740,243 +742,120 @@ class RaggedPickerResult:
         return merged
 
 
-def _per_sequence_scales(explicit, data_list, axes, n_seqs, n_heads, quant):
-    """Resolve (S, H) scales: explicit array or per-sequence data maxima."""
-    if explicit is not None:
-        scales = np.asarray(explicit, dtype=np.float64)
-        if scales.shape != (n_seqs, n_heads) or np.any(scales <= 0):
-            raise ValueError(
-                "explicit ragged scales must be positive with shape (S, H)"
-            )
-        return scales
-    out = np.empty((n_seqs, n_heads))
-    for s, data in enumerate(data_list):
-        if data.size == 0:  # empty context: scale is never applied
-            out[s] = 1.0
-            continue
-        max_abs = np.abs(data).max(axis=axes)
-        out[s] = np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
-    return out
-
-
 def token_picker_attention_ragged(
     qs: np.ndarray,
-    keys: "Optional[list]",
-    values: "Optional[list]",
     config: TokenPickerConfig,
-    score_bias: "Optional[list]" = None,
-    q_scales: Optional[np.ndarray] = None,
-    k_scales: Optional[np.ndarray] = None,
-    v_scales: Optional[np.ndarray] = None,
-    k_planes: "Optional[list]" = None,
-    v_deq: "Optional[list]" = None,
-    k_plane_arena: Optional[np.ndarray] = None,
+    *,
+    k_plane_arena: np.ndarray,
+    segments: np.ndarray,
+    q_scales: np.ndarray,
+    k_scales: np.ndarray,
     v_arena: Optional[np.ndarray] = None,
-    segments: Optional[np.ndarray] = None,
+    score_bias: "Optional[list]" = None,
     scratch: Optional[KernelScratch] = None,
     phase_times: Optional[Dict[str, float]] = None,
 ) -> RaggedPickerResult:
-    """Fused breadth-schedule Token-Picker over a ragged multi-sequence batch.
+    """Fused breadth-schedule Token-Picker over a packed KV arena.
 
-    ``qs``: (S, H, d) — one query per sequence; ``keys``/``values``: length-S
-    sequences of (H, t_s, d) arrays with *per-sequence* context lengths.
-    Scales, when frozen at calibration time (the serving engine's case), are
-    (S, H) arrays; ``score_bias`` is an optional length-S sequence of
-    (H, t_s) arrays.
+    ``qs``: (S, H, d) — one query per sequence.  ``k_plane_arena`` is one
+    token-major (T_cap, H, C, d) (or (T_cap, H*C, d)) store of
+    *unshifted* MSB-first chunk digits (float32 or float64; the kernel
+    applies each chunk's power-of-two positional shift after the
+    contraction), ``v_arena`` an optional (T_cap, H, d) store of
+    quantize-dequantized values, and ``segments`` (S, 2) rows of
+    ``(offset, length)`` locating each sequence's contiguous slab.  The
+    frozen per-head scales ``q_scales``/``k_scales`` are (S, H) arrays
+    (the digits carry no scale); ``score_bias`` is an optional length-S
+    sequence of (H, t_s) arrays (or ``None`` entries).
 
-    This is the serving engine's hot path: all sequences' tokens live on one
-    flat token axis so the chunk-plane expansion, the partial-score einsum
-    and every breadth-round predicate run **once per batch**.  Per-sequence
-    reductions (denominator log-sum-exp, final softmax, V accumulation) run
-    as *segment reductions* — one ``np.maximum.reduceat`` /
-    ``np.add.reduceat`` pass over interleaved segment boundaries per round,
-    one masked grouped softmax over the packed score matrix, and one
-    segment-reduced weighted-V pass — instead of per-sequence Python loops.
-    Every returned array is bit-identical to an independent
-    :func:`token_picker_attention_batched` call on that sequence: the
-    integer score table makes the heavy arithmetic exact by construction,
-    and both kernels funnel their float token-axis reductions through the
-    same ``reduceat`` folds (see :func:`_row_sums`), whose per-slice result
-    depends only on the slice's own values.
+    This is the serving engine's hot path.  The kernel computes directly
+    on views of the arena: every live sequence keeps its in-place
+    offset, and the dead inter-segment gaps ride along masked, carried
+    by the reduceat boundary table, so the caller appends tokens in
+    place and hands over views — no per-step packing copies.
+    Per-sequence reductions (denominator log-sum-exp, final softmax, V
+    accumulation) run as *segment reductions* — one
+    ``np.maximum.reduceat`` / ``np.add.reduceat`` pass over interleaved
+    segment boundaries per round — whose per-slice fold depends only on
+    the slice's own values (see :func:`_row_sums`).
 
-    A cache that freezes its scales (the engine's KV pool) never changes a
-    token's quantized representation after it is written, so it can encode
-    once at append time and skip the per-step requantization.  Two
-    pre-encoded input forms are accepted:
+    The score phase is lazy: round 1 contracts chunk 0 of every token,
+    and each later round extends only the still-undecided (head, token)
+    pairs, so score cost follows the alive set.  Chunk contractions are
+    exact integers (float64 when ``2 * total_bits - 2 +
+    bit_length(head_dim - 1) <= 52``, float32 when the digit dot also
+    stays below ``2**24``, int64 otherwise), so results follow the
+    bound-score contract of :class:`RaggedPickerResult` against
+    :func:`token_picker_attention_batched`.
 
-    * ``k_planes`` (length-S list of (H, C, t_s, d) per-chunk signed plane
-      contributions, i.e. :func:`~repro.core.quantization.
-      chunk_plane_values` transposed chunk-major; requires explicit
-      ``k_scales``) and/or ``v_deq`` (length-S list of (H, t_s, d)
-      quantize-dequantized values) instead of ``keys``/``values``; or
-    * the **zero-copy packed-arena form**: ``k_plane_arena`` — one
-      token-major (T_cap, H, C, d) (or (T_cap, H*C, d)) store of
-      *unshifted* chunk digits (float32 or float64; the kernel applies
-      each chunk's power-of-two positional shift after the contraction) —
-      plus ``v_arena`` (T_cap, H, d) and ``segments`` (S, 2) rows of
-      ``(offset, length)`` locating each sequence's contiguous slab.  The
-      kernel computes directly on views of the arena (dead inter-segment
-      gaps ride along masked, carried by the reduceat boundary table), so
-      the caller appends tokens in place and hands over views — no
-      per-step packing copies at all.
-
-    The planes are the MSB-first chunk decomposition the paper's DRAM
-    layout streams, and plane-times-query products are exact in float64
-    for any practical format, so results stay bit-identical.  ``scratch``
-    (a :class:`KernelScratch`) lets a caller reuse the kernel's work
-    arrays across steps; ``phase_times`` accumulates per-phase wall-clock
-    seconds under ``"score"`` / ``"prune"`` / ``"unpack"`` keys.
+    ``scratch`` (a :class:`KernelScratch`) lets a caller reuse the
+    kernel's work arrays across steps; ``phase_times`` accumulates
+    per-phase wall-clock seconds under ``"score"`` (with its split
+    ``"score_chunk0"`` — setup plus the full-width chunk-0 pass — and
+    ``"score_refine"``), ``"prune"`` and ``"unpack"`` keys.
     """
     if config.schedule != "breadth":
         raise ValueError("ragged kernel supports only the breadth schedule")
-    arena_mode = (
-        k_plane_arena is not None or v_arena is not None or segments is not None
-    )
-    if arena_mode:
-        if k_plane_arena is None or segments is None:
-            raise ValueError("the arena path needs k_plane_arena and segments")
-        if any(x is not None for x in (keys, values, k_planes, v_deq)):
-            raise ValueError(
-                "arena inputs are exclusive of per-sequence key/value lists"
-            )
-        if k_scales is None:
-            raise ValueError(
-                "k_plane_arena requires explicit k_scales (planes carry no scale)"
-            )
-    else:
-        if keys is None and k_planes is None:
-            raise ValueError(
-                "provide keys or pre-encoded k_planes or a packed arena"
-            )
-        if k_planes is not None and k_scales is None:
-            raise ValueError(
-                "k_planes requires explicit k_scales (planes carry no scale)"
-            )
     quant = config.quant
-    t_mark = time.perf_counter() if phase_times is not None else 0.0
+    timing = phase_times is not None
+    sub_t = dict.fromkeys(("score_chunk0", "score_refine", "prune", "unpack"), 0.0)
+    t_sub = time.perf_counter() if timing else 0.0
 
-    def _mark(phase: str) -> None:
-        nonlocal t_mark
-        if phase_times is None:
-            return
-        now = time.perf_counter()
-        phase_times[phase] = phase_times.get(phase, 0.0) + (now - t_mark)
-        t_mark = now
-
-    def _resync() -> None:
-        # restart the phase clock without attributing the elapsed span to
-        # any phase (the lazy score loop accounts its own sub-phases)
-        nonlocal t_mark
-        if phase_times is not None:
-            t_mark = time.perf_counter()
+    def _sub(key):
+        nonlocal t_sub
+        if timing:
+            now = time.perf_counter()
+            sub_t[key] += now - t_sub
+            t_sub = now
 
     qs = np.asarray(qs, dtype=np.float64)
     if qs.ndim != 3:
         raise ValueError(f"qs must be (S, H, d), got {qs.shape}")
     n_seqs, n_heads, head_dim = qs.shape
+    n_chunks = quant.n_chunks
 
-    def _check_ragged(name, arrays, dtype):
-        if len(arrays) != n_seqs:
+    k_arena = np.asarray(k_plane_arena)
+    if k_arena.dtype not in (np.float32, np.float64):
+        raise ValueError("k_plane_arena must hold float32/float64 chunk digits")
+    if k_arena.ndim == 3:
+        if k_arena.shape[1:] != (n_heads * n_chunks, head_dim):
             raise ValueError(
-                f"expected {n_seqs} {name} arrays, got {len(arrays)}"
-            )
-        out = [np.asarray(a, dtype=dtype) for a in arrays]
-        for s, a in enumerate(out):
-            if a.ndim != 3 or a.shape[0] != n_heads or a.shape[2] != head_dim:
-                raise ValueError(
-                    f"{name}[{s}] must be ({n_heads}, t, {head_dim}), "
-                    f"got {a.shape}"
-                )
-        return out
-
-    k_arena = None
-    if arena_mode:
-        k_arena = np.asarray(k_plane_arena)
-        if k_arena.dtype not in (np.float32, np.float64):
-            raise ValueError(
-                "k_plane_arena must hold float32/float64 chunk digits"
-            )
-        if k_arena.ndim == 3:
-            if k_arena.shape[1:] != (n_heads * quant.n_chunks, head_dim):
-                raise ValueError(
-                    f"k_plane_arena must be (T, {n_heads * quant.n_chunks}, "
-                    f"{head_dim}), got {k_arena.shape}"
-                )
-            k_arena = k_arena.reshape(
-                k_arena.shape[0], n_heads, quant.n_chunks, head_dim
-            )
-        elif k_arena.ndim != 4 or k_arena.shape[1:] != (
-            n_heads, quant.n_chunks, head_dim
-        ):
-            raise ValueError(
-                f"k_plane_arena must be (T, {n_heads}, {quant.n_chunks}, "
+                f"k_plane_arena must be (T, {n_heads * n_chunks}, "
                 f"{head_dim}), got {k_arena.shape}"
             )
-        segments = np.asarray(segments, dtype=np.int64)
-        if segments.shape != (n_seqs, 2):
-            raise ValueError(
-                f"segments must be ({n_seqs}, 2) (offset, length) rows, "
-                f"got {segments.shape}"
-            )
-        if np.any(segments < 0) or np.any(
-            segments.sum(axis=1) > k_arena.shape[0]
-        ):
-            raise ValueError("segments must lie within the arena")
-        lengths = segments[:, 1].copy()
-        if v_arena is not None:
-            v_arena = np.asarray(v_arena, dtype=np.float64)
-            if v_arena.shape != (k_arena.shape[0], n_heads, head_dim):
-                raise ValueError(
-                    f"v_arena must be ({k_arena.shape[0]}, {n_heads}, "
-                    f"{head_dim}), got {v_arena.shape}"
-                )
-    elif k_planes is not None:
-        if len(k_planes) != n_seqs:
-            raise ValueError(
-                f"expected {n_seqs} k_planes arrays, got {len(k_planes)}"
-            )
-        k_planes = [np.asarray(p, dtype=np.float64) for p in k_planes]
-        for s, p in enumerate(k_planes):
-            if (
-                p.ndim != 4
-                or p.shape[0] != n_heads
-                or p.shape[1] != quant.n_chunks
-                or p.shape[3] != head_dim
-            ):
-                raise ValueError(
-                    f"k_planes[{s}] must be ({n_heads}, {quant.n_chunks}, t, "
-                    f"{head_dim}), got {p.shape}"
-                )
-        lengths = np.array([p.shape[2] for p in k_planes], dtype=np.int64)
-    else:
-        keys = _check_ragged("keys", keys, np.float64)
-        lengths = np.array([k.shape[1] for k in keys], dtype=np.int64)
-
-    def _check_value_lengths(name, arrays):
-        for s, a in enumerate(arrays):
-            if a.shape[1] != lengths[s]:
-                raise ValueError(
-                    f"{name}[{s}] has {a.shape[1]} tokens, keys have "
-                    f"{lengths[s]}"
-                )
-        return arrays
-
-    if v_deq is not None:
-        v_deq = _check_value_lengths(
-            "v_deq", _check_ragged("v_deq", v_deq, np.float64)
+        k_arena = k_arena.reshape(k_arena.shape[0], n_heads, n_chunks, head_dim)
+    elif k_arena.ndim != 4 or k_arena.shape[1:] != (n_heads, n_chunks, head_dim):
+        raise ValueError(
+            f"k_plane_arena must be (T, {n_heads}, {n_chunks}, "
+            f"{head_dim}), got {k_arena.shape}"
         )
-    elif values is not None:
-        values = _check_value_lengths(
-            "values", _check_ragged("values", values, np.float64)
+    segments = np.asarray(segments, dtype=np.int64)
+    if segments.shape != (n_seqs, 2):
+        raise ValueError(
+            f"segments must be ({n_seqs}, 2) (offset, length) rows, "
+            f"got {segments.shape}"
         )
-    has_values = values is not None or v_deq is not None or v_arena is not None
+    if np.any(segments < 0) or np.any(segments.sum(axis=1) > k_arena.shape[0]):
+        raise ValueError("segments must lie within the arena")
+    lengths = segments[:, 1].copy()
+    if v_arena is not None:
+        v_arena = np.asarray(v_arena, dtype=np.float64)
+        if v_arena.shape != (k_arena.shape[0], n_heads, head_dim):
+            raise ValueError(
+                f"v_arena must be ({k_arena.shape[0]}, {n_heads}, "
+                f"{head_dim}), got {v_arena.shape}"
+            )
+    q_scale = np.asarray(q_scales, dtype=np.float64)
+    k_scale = np.asarray(k_scales, dtype=np.float64)
+    for name, sc in (("q_scales", q_scale), ("k_scales", k_scale)):
+        if sc.shape != (n_seqs, n_heads) or np.any(sc <= 0):
+            raise ValueError(f"{name} must be positive with shape (S, H)")
+    biases = [None] * n_seqs
     if score_bias is not None:
         if len(score_bias) != n_seqs:
             raise ValueError(f"expected {n_seqs} bias arrays, got {len(score_bias)}")
-        biases = []
         for s, b in enumerate(score_bias):
             if b is None:
-                biases.append(None)
                 continue
             b = np.asarray(b, dtype=np.float64)
             if b.shape != (n_heads, lengths[s]):
@@ -984,62 +863,38 @@ def token_picker_attention_ragged(
                     f"score_bias[{s}] must have shape ({n_heads}, {lengths[s]}),"
                     f" got {b.shape}"
                 )
-            biases.append(b)
-    else:
-        biases = [None] * n_seqs
-
-    q_scale = _per_sequence_scales(q_scales, qs, 1, n_seqs, n_heads, quant)
-    k_scale = _per_sequence_scales(k_scales, keys, (1, 2), n_seqs, n_heads, quant)
-    v_scale = (
-        _per_sequence_scales(v_scales, values, (1, 2), n_seqs, n_heads, quant)
-        if values is not None
-        else None
-    )
+            biases[s] = b
 
     results: list = [None] * n_seqs
-    # Empty contexts carry no tokens to pack: emit the rectangular
-    # kernel's empty result directly.
+    # Empty contexts carry no tokens: emit the rectangular kernel's empty
+    # result directly.
     for s in np.flatnonzero(lengths == 0):
         results[s] = BatchedPickerResult(
             kept=np.zeros((n_heads, 0), dtype=bool),
             chunks_fetched=np.zeros((n_heads, 0), dtype=np.int64),
             scores=np.zeros((n_heads, 0)),
             probs=np.zeros((n_heads, 0)),
-            outputs=np.zeros((n_heads, head_dim)) if has_values else None,
+            outputs=np.zeros((n_heads, head_dim)) if v_arena is not None else None,
             log_denominators=np.full(n_heads, -np.inf),
             quant=quant,
             head_dim=head_dim,
         )
+    live = np.flatnonzero(lengths > 0)
+    if not live.size:
+        return RaggedPickerResult(results=results, lengths=lengths)
 
-    pack_order = np.argsort(-lengths, kind="stable")
-    packed = [int(s) for s in pack_order if lengths[s] > 0]
-    if not packed:
-        return RaggedPickerResult(
-            results=results, lengths=lengths, pack_order=pack_order
-        )
-
-    # ---- packed geometry.  Every live sequence is one contiguous slab on
-    # a flat token axis: list inputs are packed longest-first (gap-free);
-    # arena inputs keep their in-place offsets, with the dead
-    # inter-segment gaps carried by the reduceat boundary table instead of
-    # a repacking copy.  ``seg_ids`` maps slab columns (ascending start)
-    # back to caller sequence indices.
-    if arena_mode:
-        seg_ids = np.array(packed, dtype=np.int64)
-        seg_ids = seg_ids[np.argsort(segments[seg_ids, 0], kind="stable")]
-        starts_abs = segments[seg_ids, 0]
-        ends_abs = starts_abs + segments[seg_ids, 1]
-        if np.any(starts_abs[1:] < ends_abs[:-1]):
-            raise ValueError("arena segments overlap")
-        base = int(starts_abs[0])
-        span_end = int(ends_abs[-1])
-        st = starts_abs - base
-        en = ends_abs - base
-    else:
-        seg_ids = np.array(packed, dtype=np.int64)
-        en = np.cumsum(lengths[seg_ids])
-        st = en - lengths[seg_ids]
-        base, span_end = 0, int(en[-1])
+    # ---- packed geometry.  Every live sequence is one contiguous slab of
+    # the arena, kept at its in-place offset; ``seg_ids`` maps slab
+    # columns (ascending start) back to caller sequence indices.
+    seg_ids = live[np.argsort(segments[live, 0], kind="stable")]
+    starts_abs = segments[seg_ids, 0]
+    ends_abs = starts_abs + segments[seg_ids, 1]
+    if np.any(starts_abs[1:] < ends_abs[:-1]):
+        raise ValueError("arena segments overlap")
+    base = int(starts_abs[0])
+    span_end = int(ends_abs[-1])
+    st = starts_abs - base
+    en = ends_abs - base
     n_live = len(seg_ids)
     total = span_end - base  # flat-axis extent, including arena gaps
 
@@ -1078,14 +933,11 @@ def token_picker_attention_ragged(
     # Plane x query products are bounded by d * 2^(2N-2): exact in
     # float64 for every practical format (any association order yields
     # the same integer), with an int64 fallback for wider formats.
-    n_chunks = quant.n_chunks
     exact_in_float = (
         2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() <= 52
     )
-    if arena_mode and k_arena.dtype == np.float32:
-        digit_bound = (
-            head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
-        )
+    if k_arena.dtype == np.float32:
+        digit_bound = head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
         if not (exact_in_float and digit_bound < 2 ** 24):
             raise ValueError(
                 "float32 k_plane_arena requires digit contractions "
@@ -1099,9 +951,8 @@ def token_picker_attention_ragged(
     # bit-identical.
     ss_ht = take_buf("ss", (n_heads, total))
     np.take(score_scale.T, seq_clip, axis=1, out=ss_ht)
-    no_bias = all(b is None for b in biases)
     bias_ht = None
-    if not no_bias:
+    if any(b is not None for b in biases):
         bias_ht = take_buf("bias", (n_heads, total))
         bias_ht.fill(0.0)
         for i in range(n_live):
@@ -1117,11 +968,10 @@ def token_picker_attention_ragged(
     )
     guard_row = guard_t[None, :]
 
-    # ---- per-round denominator scratch, hoisted out of the chunk loop
-    # (``ld_cols`` and the token broadcasts used to be fresh allocations
-    # every round of every step).  ``col_of_tok`` turns the per-column
-    # ``np.repeat`` broadcasts into ``np.take`` writes into reused
-    # buffers — identical output, zero allocator traffic.
+    # ---- per-round denominator scratch, hoisted out of the chunk loop.
+    # ``col_of_tok`` turns the per-column ``np.repeat`` broadcasts into
+    # ``np.take`` writes into reused buffers — identical output, zero
+    # allocator traffic.
     col_of_tok = np.repeat(np.arange(n_cols, dtype=np.intp), widths)
     m_cols_buf = take_buf("m_cols", (n_heads, n_cols))
     m_fix_buf = take_buf("m_fix", (n_heads, n_cols))
@@ -1137,11 +987,11 @@ def token_picker_attention_ragged(
 
         Every round re-reduces the whole (H, T) lower-bound row —
         decided tokens' frozen bounds included, since their exp terms
-        shift as the running max rises — through the same interleaved
-        ``reduceat`` folds as always, so the lazy and eager score
-        phases share these bits by construction.  Returns
-        ``(log_den_seg (H, n_live), log_den_tok (H, total))``; the
-        latter is a scratch view valid until the next round.
+        shift as the running max rises — through the interleaved
+        ``reduceat`` folds, matching the rectangular kernel's row folds
+        bit for bit.  Returns ``(log_den_seg (H, n_live), log_den_tok
+        (H, total))``; the latter is a scratch view valid until the next
+        round.
         """
         np.maximum.reduceat(lb, reduce_idx, axis=1, out=m_cols_buf)
         m_seg = m_cols_buf[:, ::2]
@@ -1158,11 +1008,9 @@ def token_picker_attention_ragged(
         return seg_den, ld_tok_buf
 
     # ---- breadth-round state.  One reduceat pass computes every
-    # sequence's per-round denominator at once; the folds match the
-    # rectangular kernel's row folds bit for bit, and a sequence whose
-    # tokens are all decided simply stops changing (recomputing its
-    # denominator from unchanged bounds reproduces the frozen value
-    # exactly).
+    # sequence's per-round denominator at once; a sequence whose tokens
+    # are all decided simply stops changing (recomputing its denominator
+    # from unchanged bounds reproduces the frozen value exactly).
     log_thr = config.log_threshold
     alive = take_buf("alive", (n_heads, total), bool)
     alive[:] = valid[None, :]
@@ -1173,394 +1021,172 @@ def token_picker_attention_ragged(
     log_den_seg = np.full((n_heads, n_live), -np.inf)
     round_alive = np.zeros(n_chunks + 1, dtype=np.int64)
 
-    lazy = arena_mode and config.score_backend != "eager"
-    if lazy:
-        # ---- lazy alive-set score phase.  Round 1 (chunk 0) touches
-        # every token once through one batched contraction; each later
-        # round gathers only the surviving (head, token) pairs' next
-        # chunk digit from the arena view and extends their partial
-        # scores, so per-round score cost scales with the alive set
-        # (the keep fraction of T) instead of T * C.  Chunk contractions
-        # are exact integers under the same gates as the eager table, so
-        # incremental accumulation is bit-identical to the eager cumsum,
-        # and the per-round denominators reuse the full-row fold above —
-        # kept sets, fetched chunks, probabilities, outputs and log
-        # denominators match the eager path bit for bit.  Reported
-        # ``scores`` of *pruned* tokens are the certified upper bound at
-        # the round that pruned them (their remaining chunks are never
-        # fetched — that is the point); kept tokens' scores stay the
-        # exact full-depth values.
-        backend = resolve_backend(config.score_backend)
-        _mark("score")  # setup cost up to here counts as score
-        timing = phase_times is not None
-        sub_t = {"score_chunk0": 0.0, "score_refine": 0.0, "prune": 0.0}
-        t_sub = time.perf_counter() if timing else 0.0
-
-        def _sub(key):
-            nonlocal t_sub
-            if timing:
-                now = time.perf_counter()
-                sub_t[key] += now - t_sub
-                t_sub = now
-
-        shifts = [
-            1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
-            for c in range(n_chunks)
-        ]
-        planes4 = k_arena[base:span_end]  # (total, H, C, d) digit view
-        int_mode = not exact_in_float
-        if int_mode:
-            # wide-format fallback: only the chunk-0 slice needs an
-            # int64 copy up front (1/C of the eager fallback's span
-            # copy); later rounds cast just the gathered alive rows
-            q_f = q_codes
-            contrib0 = take_buf("lz_c0_i", (n_heads, total), np.int64)
-            planes_c0 = take_buf(
-                "lz_p0_i", (total, n_heads, head_dim), np.int64
-            )
-            np.copyto(planes_c0, planes4[:, :, 0, :], casting="unsafe")
-        elif k_arena.dtype == np.float32:
-            q_f = q_codes.astype(np.float32)
-            contrib0 = take_buf("lz_c0_f32", (n_heads, total), np.float32)
-            planes_c0 = planes4[:, :, 0, :]
-        else:
-            q_f = q_codes.astype(np.float64)
-            contrib0 = take_buf("lz_c0", (n_heads, total))
-            planes_c0 = planes4[:, :, 0, :]
-        q_seg = q_f[seg_ids]  # (n_live, H, d)
-        ps_run = take_buf(
-            "lz_ps_i" if int_mode else "lz_ps",
-            (n_heads, total),
-            np.int64 if int_mode else np.float64,
-        )
-        # pre-scaled margin tables (C, H, S): the same margin * scale
-        # products the eager path broadcasts to (H, T), gathered
-        # per-round on the alive set instead
-        mlo_tbl = np.ascontiguousarray(
-            (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-        )
-        mhi_tbl = np.ascontiguousarray(
-            (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-        )
-        s_min_row = take_buf("lz_smin", (n_heads, total))
-        s_max_row = take_buf("lz_smax", (n_heads, total))
-        m_row = take_buf("lz_mrow", (n_heads, total))
-        exact_scores = take_buf("scores", (n_heads, total))
-        exact_scores.fill(0.0)
-        survivors = int(np.count_nonzero(alive))
-        for b in range(n_chunks):
-            if not survivors:
-                break
-            round_alive[b] = survivors
-            # Strategy per round: a dense full-width chunk extension
-            # (one batched per-segment contraction) beats compacted
-            # pair gathers while the alive set is still a sizeable
-            # fraction of the arena — the threshold-driven first
-            # refinement round typically retains tens of percent of
-            # pairs, and only later rounds thin to the ~0.4% keep
-            # fraction.  Both strategies run the identical per-element
-            # value chain, so the switch is purely a performance
-            # decision — every output is bit-identical either way.
-            dense = b == 0 or (
-                not int_mode and survivors * 8 >= alive.size
-            )
-            if dense:
-                planes_cb = planes_c0 if b == 0 else planes4[:, :, b, :]
-                backend.contract_chunk0(
-                    planes_cb, q_seg, st, en, contrib0
-                )
-                if b == 0:
-                    if not valid.all():  # scrub stale gap columns
-                        contrib0[:, ~valid] = 0
-                    # same value chain as the eager table's shift
-                    # column: promote the digit dot to the accumulator
-                    # dtype first, then scale by the chunk's
-                    # power-of-two shift (exact either way — a float32
-                    # contribution must NOT be multiplied by the shift
-                    # in float32, where the product can exceed 2**24
-                    # and round)
-                    np.copyto(ps_run, contrib0)
-                    ps_run *= shifts[0]
-                else:
-                    # dead and gap columns accumulate garbage here —
-                    # harmless: every consumer below is masked by
-                    # ``alive`` and death scores were already recorded
-                    np.copyto(m_row, contrib0)
-                    m_row *= float(shifts[b])
-                    ps_run += m_row
-                # full-width bounds — same elementwise tree as the
-                # eager tables: (ps * scale + margin * scale) + bias
-                # (one base product, copied: both bounds share it)
-                np.multiply(ps_run, ss_ht, out=s_max_row)
-                np.copyto(s_min_row, s_max_row)
-                np.take(mlo_tbl[b], seq_clip, axis=1, out=m_row)
-                s_min_row += m_row
-                np.take(mhi_tbl[b], seq_clip, axis=1, out=m_row)
-                s_max_row += m_row
-                if bias_ht is not None:
-                    s_min_row += bias_ht
-                    s_max_row += bias_ht
-                np.copyto(chunks_fetched, b + 1, where=alive)
-                np.copyto(current_lb, s_min_row, where=alive)
-                _sub("score_chunk0" if b == 0 else "score_refine")
-
-                log_den_seg, log_den_tok = _round_denominator(
-                    current_lb
-                )
-                prune_now = (
-                    alive
-                    & ((s_max_row - log_den_tok) <= log_thr)
-                    & ~guard_row
-                )
-                # a pruned token's reported score is its certified
-                # upper bound at the pruning decision (p'' >= p, Eq. 5)
-                np.copyto(exact_scores, s_max_row, where=prune_now)
-                alive &= ~prune_now
-                survivors = int(np.count_nonzero(alive))
-                _sub("prune")
-            else:
-                h_idx, t_idx = np.nonzero(alive)
-                q_pair = q_f[seq_idx[t_idx], h_idx]  # (A, d)
-                contrib_pair = np.empty(
-                    h_idx.size, dtype=contrib0.dtype
-                )
-                backend.contract_pairs(
-                    planes4, b, t_idx, h_idx, q_pair, contrib_pair
-                )
-                ps_pair = ps_run[h_idx, t_idx]
-                if int_mode:
-                    ps_pair += contrib_pair * shifts[b]
-                else:
-                    cp = (
-                        contrib_pair
-                        if contrib_pair.dtype == np.float64
-                        else contrib_pair.astype(np.float64)
-                    )
-                    ps_pair += cp * float(shifts[b])
-                ps_run[h_idx, t_idx] = ps_pair
-                ss_pair = ss_ht[h_idx, t_idx]
-                seqs_pair = seq_idx[t_idx]
-                s_min_pair = ps_pair * ss_pair
-                s_min_pair += mlo_tbl[b][h_idx, seqs_pair]
-                s_max_pair = ps_pair * ss_pair
-                s_max_pair += mhi_tbl[b][h_idx, seqs_pair]
-                if bias_ht is not None:
-                    bias_pair = bias_ht[h_idx, t_idx]
-                    s_min_pair += bias_pair
-                    s_max_pair += bias_pair
-                chunks_fetched[h_idx, t_idx] = b + 1
-                current_lb[h_idx, t_idx] = s_min_pair
-                _sub("score_refine")
-
-                log_den_seg, log_den_tok = _round_denominator(
-                    current_lb
-                )
-                prune_pair = (
-                    (s_max_pair - log_den_tok[h_idx, t_idx]) <= log_thr
-                ) & ~guard_t[t_idx]
-                if prune_pair.any():
-                    dh = h_idx[prune_pair]
-                    dt = t_idx[prune_pair]
-                    exact_scores[dh, dt] = s_max_pair[prune_pair]
-                    alive[dh, dt] = False
-                    survivors -= int(dh.size)
-                _sub("prune")
-        round_alive[n_chunks] = survivors
-
-        # kept tokens survived every round, so their running partial
-        # scores are the exact full-depth values — finish their
-        # reported scores with the eager path's elementwise ops
-        kh, kt = np.nonzero(alive)
-        if kh.size:
-            kept_scores = ps_run[kh, kt] * ss_ht[kh, kt]
-            if bias_ht is not None:
-                kept_scores += bias_ht[kh, kt]
-            exact_scores[kh, kt] = kept_scores
-        _sub("score_refine")
-        if timing:
-            phase_times["score"] = (
-                phase_times.get("score", 0.0)
-                + sub_t["score_chunk0"]
-                + sub_t["score_refine"]
-            )
-            phase_times["score_chunk0"] = (
-                phase_times.get("score_chunk0", 0.0)
-                + sub_t["score_chunk0"]
-            )
-            phase_times["score_refine"] = (
-                phase_times.get("score_refine", 0.0)
-                + sub_t["score_refine"]
-            )
-            phase_times["prune"] = (
-                phase_times.get("prune", 0.0) + sub_t["prune"]
-            )
-        _resync()
+    # ---- lazy alive-set score phase.  Round 1 (chunk 0) touches every
+    # token once through one batched contraction; each later round
+    # gathers only the surviving (head, token) pairs' next chunk digit
+    # from the arena view and extends their partial scores, so per-round
+    # score cost scales with the alive set (the keep fraction of T)
+    # instead of T * C.  Reported ``scores`` of *pruned* tokens are the
+    # certified upper bound at the round that pruned them (their
+    # remaining chunks are never fetched — that is the point); kept
+    # tokens' scores stay the exact full-depth values.
+    backend = resolve_backend(config.score_backend)
+    shifts = [
+        1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
+        for c in range(n_chunks)
+    ]
+    planes4 = k_arena[base:span_end]  # (total, H, C, d) digit view
+    int_mode = not exact_in_float
+    if int_mode:
+        # wide-format fallback: only the chunk-0 slice needs an int64
+        # copy up front; later rounds cast just the gathered alive rows
+        q_f = q_codes
+        contrib0 = take_buf("lz_c0_i", (n_heads, total), np.int64)
+        planes_c0 = take_buf("lz_p0_i", (total, n_heads, head_dim), np.int64)
+        np.copyto(planes_c0, planes4[:, :, 0, :], casting="unsafe")
+    elif k_arena.dtype == np.float32:
+        q_f = q_codes.astype(np.float32)
+        contrib0 = take_buf("lz_c0_f32", (n_heads, total), np.float32)
+        planes_c0 = planes4[:, :, 0, :]
     else:
-        # ---- eager reference: the complete cumulative partial-score
-        # table ps[c, h, t] plus full bound tables, exact by
-        # construction (same gates as above).
-        if arena_mode:
-            planes_view = k_arena[base:span_end]  # (total, H, C, d) view
-            # One batched (C, d) x (d, 1) matmul per segment, straight
-            # on the arena view: the query is constant within a segment,
-            # so this avoids gathering a (T, H, d) per-token query
-            # table, and exact integer arithmetic makes the contraction
-            # order irrelevant.  The arena stores *unshifted* digits —
-            # each chunk's power-of-two positional shift is applied
-            # after its contraction (an exponent-only multiply,
-            # exactness preserved), which is what lets a float32 arena
-            # carry practical formats at half the memory traffic.
-            if k_arena.dtype == np.float32:
-                contrib = take_buf(
-                    "contrib32", (total, n_heads, n_chunks), np.float32
-                )
-                q_f = q_codes.astype(np.float32)
-            elif exact_in_float:
-                contrib = take_buf("contrib", (total, n_heads, n_chunks))
-                q_f = q_codes.astype(np.float64)
+        q_f = q_codes.astype(np.float64)
+        contrib0 = take_buf("lz_c0", (n_heads, total))
+        planes_c0 = planes4[:, :, 0, :]
+    q_seg = q_f[seg_ids]  # (n_live, H, d)
+    ps_run = take_buf(
+        "lz_ps_i" if int_mode else "lz_ps",
+        (n_heads, total),
+        np.int64 if int_mode else np.float64,
+    )
+    # pre-scaled margin tables (C, H, S): the rectangular kernel's
+    # ``margin * scale`` products, gathered per round
+    mlo_tbl = np.ascontiguousarray(
+        (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
+    )
+    mhi_tbl = np.ascontiguousarray(
+        (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
+    )
+    s_min_row = take_buf("lz_smin", (n_heads, total))
+    s_max_row = take_buf("lz_smax", (n_heads, total))
+    m_row = take_buf("lz_mrow", (n_heads, total))
+    exact_scores = take_buf("scores", (n_heads, total))
+    exact_scores.fill(0.0)
+    survivors = int(np.count_nonzero(alive))
+    _sub("score_chunk0")  # setup (geometry, scale and margin tables)
+    for b in range(n_chunks):
+        if not survivors:
+            break
+        round_alive[b] = survivors
+        # Strategy per round: a dense full-width chunk extension (one
+        # batched per-segment contraction) beats compacted pair gathers
+        # while the alive set is still a sizeable fraction of the arena
+        # — the threshold-driven first refinement round typically
+        # retains tens of percent of pairs, and only later rounds thin
+        # to the ~0.4% keep fraction.  Both strategies run the identical
+        # per-element value chain, so the switch is purely a performance
+        # decision — every output is bit-identical either way.
+        dense = b == 0 or (not int_mode and survivors * 8 >= alive.size)
+        if dense:
+            planes_cb = planes_c0 if b == 0 else planes4[:, :, b, :]
+            backend.contract_chunk0(planes_cb, q_seg, st, en, contrib0)
+            if b == 0:
+                if not valid.all():  # scrub stale gap columns
+                    contrib0[:, ~valid] = 0
+                # promote the digit dot to the accumulator dtype first,
+                # then scale by the chunk's power-of-two shift (exact
+                # either way — a float32 contribution must NOT be
+                # multiplied by the shift in float32, where the product
+                # can exceed 2**24 and round)
+                np.copyto(ps_run, contrib0)
+                ps_run *= shifts[0]
             else:
-                contrib = take_buf(
-                    "contrib_i", (total, n_heads, n_chunks), np.int64
-                )
-                # wide-format fallback: integer accumulation needs an
-                # int64 copy of the span (scratch-backed; digits are
-                # exact ints, so the cast is lossless) — unavoidable
-                # O(span) work unless the pool stores int64 digits for
-                # such formats
-                planes_i = take_buf(
-                    "planes_i", planes_view.shape, np.int64
-                )
-                np.copyto(planes_i, planes_view, casting="unsafe")
-                planes_view = planes_i
-                q_f = q_codes
-            for i in range(n_live):
-                s = int(seg_ids[i])
-                np.matmul(
-                    planes_view[st[i]:en[i]],
-                    q_f[s][:, :, None],
-                    out=contrib[st[i]:en[i], :, :, None],
-                )
-            if not valid.all():  # arena gaps: scrub stale scratch
-                contrib[~valid] = 0
-            shifts = np.array(
-                [
-                    1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
-                    for c in range(n_chunks)
-                ]
-            )
-            if contrib.dtype == np.int64:
-                ps = take_buf("ps_i", (n_chunks, n_heads, total), np.int64)
-                np.multiply(
-                    contrib.transpose(2, 1, 0), shifts[:, None, None], out=ps
-                )
-            else:
-                ps = take_buf("ps", (n_chunks, n_heads, total))
-                np.multiply(
-                    contrib.transpose(2, 1, 0),
-                    shifts.astype(np.float64)[:, None, None],
-                    out=ps,
-                )
-            np.cumsum(ps, axis=0, out=ps)
-        elif k_planes is not None:
-            # Pre-encoded chunk planes: one dense dot product per chunk,
-            # no per-step requantization or digit extraction.
-            if exact_in_float:
-                q_tok = np.take(q_codes.astype(np.float64), seq_idx, axis=0)
-                ps = np.empty((n_chunks, n_heads, total))
-            else:
-                q_tok = np.take(q_codes, seq_idx, axis=0)
-                ps = np.empty((n_chunks, n_heads, total), dtype=np.int64)
-            for c in range(n_chunks):
-                plane_c = np.concatenate(
-                    [
-                        k_planes[int(s)][:, c].transpose(1, 0, 2)
-                        for s in seg_ids
-                    ],
-                    axis=0,
-                )
-                if exact_in_float:
-                    np.einsum("thd,thd->ht", plane_c, q_tok, out=ps[c])
-                else:
-                    np.einsum(
-                        "thd,thd->ht", plane_c.astype(np.int64), q_tok,
-                        out=ps[c],
-                    )
-            np.cumsum(ps, axis=0, out=ps)
-        else:
-            packed_keys = np.concatenate(
-                [keys[int(s)].transpose(1, 0, 2) for s in seg_ids], axis=0
-            )
-            k_scale_tok = k_scale[seq_idx]  # (total, H)
-            packed_codes = np.clip(
-                np.rint(packed_keys / k_scale_tok[:, :, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            # Chunk-plane partial scores, one chunk at a time:
-            # materialising the full (T, H, d, C) plane tensor
-            # (chunk_plane_values) falls out of cache at serving batch
-            # sizes.  The per-chunk loop streams (T, H, d) once per
-            # chunk instead — integer arithmetic throughout, so the
-            # scores stay exact.
-            pattern = packed_codes & ((1 << quant.total_bits) - 1)
-            q_tok = np.take(q_codes, seq_idx, axis=0)
-            ps = np.empty((n_chunks, n_heads, total), dtype=np.int64)
-            for c in range(n_chunks):
-                shift = quant.total_bits - (c + 1) * quant.chunk_bits
-                digit = signed_chunk_digit(pattern, c, quant)
-                np.einsum("thd,thd->ht", digit << shift, q_tok, out=ps[c])
-            np.cumsum(ps, axis=0, out=ps)
-
-        # ---- score-bound tables.  Margins are pre-scaled per
-        # (sequence, head, chunk) — the same ``margin * scale`` products
-        # the rectangular kernel computes per token, evaluated once and
-        # broadcast to the full (C, H, T) tables.
-        margin_lo = take_buf("margin_lo", (n_chunks, n_heads, total))
-        margin_hi = take_buf("margin_hi", (n_chunks, n_heads, total))
-        np.take(
-            np.ascontiguousarray(
-                (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-            ),
-            seq_clip, axis=2, out=margin_lo,
-        )
-        np.take(
-            np.ascontiguousarray(
-                (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-            ),
-            seq_clip, axis=2, out=margin_hi,
-        )
-        # same elementwise tree as the rectangular kernel:
-        # (ps * scale + margin * scale) + bias
-        s_min = take_buf("s_min", (n_chunks, n_heads, total))
-        s_max = take_buf("s_max", (n_chunks, n_heads, total))
-        np.multiply(ps, ss_ht, out=s_min)
-        s_min += margin_lo
-        np.multiply(ps, ss_ht, out=s_max)
-        s_max += margin_hi
-        if bias_ht is not None:
-            s_min += bias_ht
-            s_max += bias_ht
-        _mark("score")
-
-        # ---- breadth rounds over the full-width tables.
-        for b in range(n_chunks):
-            round_alive[b] = int(np.count_nonzero(alive))
+                # dead and gap columns accumulate garbage here —
+                # harmless: every consumer below is masked by ``alive``
+                # and death scores were already recorded
+                np.copyto(m_row, contrib0)
+                m_row *= float(shifts[b])
+                ps_run += m_row
+            # full-width bounds — the rectangular kernel's elementwise
+            # tree: (ps * scale + margin * scale) + bias (one base
+            # product, copied: both bounds share it)
+            np.multiply(ps_run, ss_ht, out=s_max_row)
+            np.copyto(s_min_row, s_max_row)
+            np.take(mlo_tbl[b], seq_clip, axis=1, out=m_row)
+            s_min_row += m_row
+            np.take(mhi_tbl[b], seq_clip, axis=1, out=m_row)
+            s_max_row += m_row
+            if bias_ht is not None:
+                s_min_row += bias_ht
+                s_max_row += bias_ht
             np.copyto(chunks_fetched, b + 1, where=alive)
-            np.copyto(current_lb, s_min[b], where=alive)
+            np.copyto(current_lb, s_min_row, where=alive)
+            _sub("score_chunk0" if b == 0 else "score_refine")
+
             log_den_seg, log_den_tok = _round_denominator(current_lb)
             prune_now = (
-                alive & ((s_max[b] - log_den_tok) <= log_thr) & ~guard_row
+                alive & ((s_max_row - log_den_tok) <= log_thr) & ~guard_row
             )
+            # a pruned token's reported score is its certified upper
+            # bound at the pruning decision (p'' >= p, Eq. 5)
+            np.copyto(exact_scores, s_max_row, where=prune_now)
             alive &= ~prune_now
-            if not alive.any():
-                break
-        round_alive[n_chunks] = int(np.count_nonzero(alive))
-        _mark("prune")
+            survivors = int(np.count_nonzero(alive))
+            _sub("prune")
+        else:
+            h_idx, t_idx = np.nonzero(alive)
+            q_pair = q_f[seq_idx[t_idx], h_idx]  # (A, d)
+            contrib_pair = np.empty(h_idx.size, dtype=contrib0.dtype)
+            backend.contract_pairs(
+                planes4, b, t_idx, h_idx, q_pair, contrib_pair
+            )
+            ps_pair = ps_run[h_idx, t_idx]
+            if int_mode:
+                ps_pair += contrib_pair * shifts[b]
+            else:
+                cp = (
+                    contrib_pair
+                    if contrib_pair.dtype == np.float64
+                    else contrib_pair.astype(np.float64)
+                )
+                ps_pair += cp * float(shifts[b])
+            ps_run[h_idx, t_idx] = ps_pair
+            ss_pair = ss_ht[h_idx, t_idx]
+            seqs_pair = seq_idx[t_idx]
+            s_min_pair = ps_pair * ss_pair
+            s_min_pair += mlo_tbl[b][h_idx, seqs_pair]
+            s_max_pair = ps_pair * ss_pair
+            s_max_pair += mhi_tbl[b][h_idx, seqs_pair]
+            if bias_ht is not None:
+                bias_pair = bias_ht[h_idx, t_idx]
+                s_min_pair += bias_pair
+                s_max_pair += bias_pair
+            chunks_fetched[h_idx, t_idx] = b + 1
+            current_lb[h_idx, t_idx] = s_min_pair
+            _sub("score_refine")
 
-        exact_scores = take_buf("scores", (n_heads, total))
-        np.multiply(ps[-1], ss_ht, out=exact_scores)
+            log_den_seg, log_den_tok = _round_denominator(current_lb)
+            prune_pair = (
+                (s_max_pair - log_den_tok[h_idx, t_idx]) <= log_thr
+            ) & ~guard_t[t_idx]
+            if prune_pair.any():
+                dh = h_idx[prune_pair]
+                dt = t_idx[prune_pair]
+                exact_scores[dh, dt] = s_max_pair[prune_pair]
+                alive[dh, dt] = False
+                survivors -= int(dh.size)
+            _sub("prune")
+    round_alive[n_chunks] = survivors
+
+    # kept tokens survived every round, so their running partial scores
+    # are the exact full-depth values — finish their reported scores
+    # with the rectangular kernel's elementwise ops
+    kh, kt = np.nonzero(alive)
+    if kh.size:
+        kept_scores = ps_run[kh, kt] * ss_ht[kh, kt]
         if bias_ht is not None:
-            exact_scores += bias_ht
+            kept_scores += bias_ht[kh, kt]
+        exact_scores[kh, kt] = kept_scores
+    _sub("score_refine")
 
     # ---- unpack: masked grouped softmax over the packed (H, T) score
     # matrix, one segment-reduced weighted-V pass, per-sequence slicing.
@@ -1577,25 +1203,10 @@ def token_picker_attention_ragged(
         probs_ht[alive] = flat_probs
 
     outs = None
-    if has_values:
-        if arena_mode:
-            v_tok = v_arena[base:span_end]  # (total, H, d) view
-        elif v_deq is not None:
-            v_tok = np.concatenate(
-                [v_deq[int(s)].transpose(1, 0, 2) for s in seg_ids], axis=0
-            )
-        else:
-            v_raw = np.concatenate(
-                [values[int(s)].transpose(1, 0, 2) for s in seg_ids], axis=0
-            )
-            vsc_tok = v_scale[seq_idx][:, :, None]  # (total, H, 1)
-            v_tok = (
-                np.clip(np.rint(v_raw / vsc_tok), quant.qmin, quant.qmax)
-                * vsc_tok
-            )
+    if v_arena is not None:
         # gather only the *kept* tokens' V rows (keep fraction of the
         # cache) — the step-1 AV the hardware actually fetches
-        v_flat = v_tok.transpose(1, 0, 2)[alive]
+        v_flat = v_arena[base:span_end].transpose(1, 0, 2)[alive]
         outs = _grouped_weighted_v(
             flat_probs, v_flat, bounds, head_dim
         ).reshape(n_heads, n_live, head_dim)
@@ -1613,13 +1224,16 @@ def token_picker_attention_ragged(
             quant=quant,
             head_dim=head_dim,
         )
-    _mark("unpack")
+    _sub("unpack")
+    if timing:
+        for key, seconds in sub_t.items():
+            phase_times[key] = phase_times.get(key, 0.0) + seconds
+        phase_times["score"] = phase_times.get("score", 0.0) + (
+            sub_t["score_chunk0"] + sub_t["score_refine"]
+        )
 
     return RaggedPickerResult(
-        results=results,
-        lengths=lengths,
-        pack_order=pack_order,
-        round_alive=round_alive,
+        results=results, lengths=lengths, round_alive=round_alive
     )
 
 

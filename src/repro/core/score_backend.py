@@ -29,10 +29,6 @@ score_backend` or the CLI's ``--kernel-backend``):
   installed, :func:`resolve_backend` falls back to the NumPy
   implementation with a single warning, so the flag is safe to set in
   configs that run on machines without numba.
-* ``"eager"`` is *not* a contraction backend — it selects the pre-lazy
-  full-table score phase inside the kernel itself (the reference the
-  property tests compare the lazy pipeline against), so resolving it
-  here is an error.
 """
 
 from __future__ import annotations
@@ -189,12 +185,6 @@ def resolve_backend(name: str) -> ScoreBackend:
                 stacklevel=2,
             )
         return _NUMPY_BACKEND
-    if name == "eager":
-        raise ValueError(
-            "'eager' selects the full-table score phase inside the kernel; "
-            "it is not a lazy contraction backend"
-        )
     raise ValueError(
-        f"unknown score backend {name!r}; valid: 'numpy', 'numba' "
-        "(or 'eager' for the full-table kernel path)"
+        f"unknown score backend {name!r}; valid: 'numpy', 'numba'"
     )

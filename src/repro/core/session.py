@@ -12,18 +12,22 @@ whose KV cache the caller owns:
 * :meth:`step` runs certified pruning for one decode step with the frozen
   scales, accumulating traffic statistics across the whole generation,
 * values outside the calibrated range saturate, and the session counts
-  those clip events across the full Q/K/V saturation path — the
-  observable that tells a deployment its calibration window was too
-  narrow.
+  those clip events across the full Q/K/V the caller supplies each step
+  — the observable that tells a deployment its calibration window was
+  too narrow.
 
-Since the serving refactor this class is a thin adapter over
-:class:`repro.serving.engine.ServingEngine` in its external-KV mode: the
-engine freezes the scales, counts the clips and runs the same fused
-kernel it uses for multi-sequence batches (with one sequence, the ragged
-kernel is bit-identical to :func:`~repro.core.pruning.
-token_picker_attention_batched`).  Multi-sequence deployments should use
-the engine directly — it runs one fused step across all sequences instead
-of one kernel call per session.
+Each step encodes the supplied cache with the serving pool's encoder
+(:func:`repro.serving.kv_pool.encode_kv_rows`) into a private float64
+arena reused across steps, and makes one call of the same fused arena
+kernel the serving engine runs.  Results follow the kernel's bound-score
+contract against :func:`~repro.core.pruning.
+token_picker_attention_batched` with the session's frozen scales: kept
+sets, fetched chunks, probabilities, outputs and log denominators are
+bit-identical, kept tokens' ``scores`` are exact, and a pruned token's
+``scores`` entry is its certified upper bound (``>=`` the exact score).
+Multi-sequence deployments should use
+:class:`repro.serving.engine.ServingEngine` — it runs one fused step
+across all sequences instead of one kernel call per session.
 """
 
 from __future__ import annotations
@@ -33,10 +37,18 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
-from repro.core.pruning import BatchedPickerResult
+from repro.core.pruning import (
+    BatchedPickerResult,
+    KernelScratch,
+    token_picker_attention_ragged,
+)
 from repro.model.attention import AccessCounter
-from repro.serving.engine import ServingEngine
-from repro.serving.kv_pool import SequenceScales
+from repro.serving.kv_pool import (
+    SequenceScales,
+    count_clips,
+    encode_kv_rows,
+    freeze_scales,
+)
 from repro.serving.request import RequestStats
 
 #: Back-compat alias: frozen per-head quantization scales (set at prompt
@@ -60,16 +72,15 @@ class TokenPickerSession:
             raise ValueError("sessions use the breadth schedule (hardware order)")
         self.config = config
         self.safety_factor = safety_factor
-        self._engine = ServingEngine(
-            config, max_batch_size=1, safety_factor=safety_factor
-        )
-        self._seq_id: Optional[int] = None
         # one stats record for the session's whole lifetime: the counter
         # object identity is stable from construction (callers may hold a
         # reference), and recalibrations keep accumulating into it
         self._stats = RequestStats()
         self.scales: Optional[SessionScales] = None
         self.steps = 0
+        self._k_arena = np.empty((0, 0, 0))
+        self._v_arena = np.empty((0, 0, 0))
+        self._scratch = KernelScratch()
 
     # ------------------------------------------------------------ calibration
     def observe_prompt(
@@ -79,20 +90,32 @@ class TokenPickerSession:
 
         ``keys``/``values``: (H, t, d); ``queries``: optional (H, t, d) —
         when absent, K statistics stand in for Q (they share the residual
-        stream's magnitude at calibration quality).
+        stream's magnitude at calibration quality).  Calling it again
+        recalibrates; traffic and clip statistics keep accumulating.
         """
-        if self._seq_id is not None:
-            # recalibration: retire the old sequence; the shared stats
-            # record keeps accumulating traffic/clip statistics
-            self._engine.release_external(self._seq_id)
-        self._seq_id = self._engine.admit_external(
-            keys, values, queries=queries, stats=self._stats
+        self.scales = freeze_scales(
+            keys,
+            values,
+            self.config.quant,
+            self.safety_factor,
+            queries=queries,
         )
         self._stats.prompt_tokens = np.asarray(keys).shape[1]
-        self.scales = self._engine.scales_of(self._seq_id)
         return self.scales
 
     # ------------------------------------------------------------------ decode
+    def _arena_rows(self, n_tokens: int, n_heads: int, head_dim: int):
+        """(n_tokens, H*C, d) / (n_tokens, H, d) views of the private arena,
+        grown by doubling so a decode loop reallocates O(log t) times."""
+        k_heads = n_heads * self.config.quant.n_chunks
+        if self._k_arena.shape[1:] != (k_heads, head_dim) or (
+            self._k_arena.shape[0] < n_tokens
+        ):
+            cap = max(n_tokens, 2 * self._k_arena.shape[0], 1)
+            self._k_arena = np.empty((cap, k_heads, head_dim))
+            self._v_arena = np.empty((cap, n_heads, head_dim))
+        return self._k_arena[:n_tokens], self._v_arena[:n_tokens]
+
     def step(
         self,
         q: np.ndarray,
@@ -102,17 +125,60 @@ class TokenPickerSession:
     ) -> BatchedPickerResult:
         """Pruned attention for one decode step with the frozen scales.
 
-        ``q``: (H, d); ``keys``/``values``: (H, t, d).  Requires
+        ``q``: (H, d); ``keys``/``values``: (H, t, d); ``score_bias``: an
+        optional (H, t) known additive score term.  Requires
         :meth:`observe_prompt` first.
         """
-        if self._seq_id is None:
+        if self.scales is None:
             raise RuntimeError("call observe_prompt before step")
-        results = self._engine.step_external(
-            {self._seq_id: (q, keys, values)},
-            score_bias={self._seq_id: score_bias} if score_bias is not None else None,
+        q, keys, values = (
+            np.asarray(x, dtype=np.float64) for x in (q, keys, values)
         )
+        n_heads = self.scales.k_scale.shape[0]
+        if (
+            q.ndim != 2
+            or q.shape[0] != n_heads
+            or keys.ndim != 3
+            or keys.shape[0] != n_heads
+            or keys.shape[2] != q.shape[1]
+            or values.shape != keys.shape
+        ):
+            raise ValueError(
+                f"q must be ({n_heads}, d) and keys/values ({n_heads}, t, d); "
+                f"got {q.shape}, {keys.shape}, {values.shape}"
+            )
+        quant, scales = self.config.quant, self.scales
+        for x, scale in (
+            (q, scales.q_scale),
+            (keys, scales.k_scale),
+            (values, scales.v_scale),
+        ):
+            self._stats.clip_events += count_clips(x, scale, quant)
+        _, t, head_dim = keys.shape
+        k_rows, v_rows = self._arena_rows(t, n_heads, head_dim)
+        encode_kv_rows(
+            keys.transpose(1, 0, 2),
+            values.transpose(1, 0, 2),
+            scales.k_scale[None],
+            scales.v_scale[None],
+            quant,
+            k_rows,
+            v_rows,
+        )
+        result = token_picker_attention_ragged(
+            q[None],
+            self.config,
+            k_plane_arena=k_rows,
+            segments=np.array([[0, t]]),
+            q_scales=scales.q_scale[None],
+            k_scales=scales.k_scale[None],
+            v_arena=v_rows,
+            score_bias=None if score_bias is None else [score_bias],
+            scratch=self._scratch,
+        ).results[0]
+        self._stats.counter.add(result.stats(), n_heads)
         self.steps += 1
-        return results[self._seq_id]
+        return result
 
     # -------------------------------------------------------------- accounting
     @property

@@ -14,7 +14,7 @@ serving context:
   quantization scales and eviction accounting.
 * :class:`~repro.serving.scheduler.Scheduler` — FIFO continuous-batching
   admission (with an optional small-request head-of-line bypass and a
-  per-step prefill token budget) and longest-first ragged packing.
+  per-step prefill token budget).
   Chunked prefill interleaves prompt ingestion with decode
   (decode-priority) so long prompts cannot stall co-resident decodes;
   outputs stay bit-identical to monolithic prefill.
@@ -45,6 +45,7 @@ from repro.serving.kv_pool import (
     SequenceScales,
     SwappedSequence,
     count_clips,
+    encode_kv_rows,
     freeze_scales,
 )
 from repro.serving.request import (
@@ -82,6 +83,7 @@ __all__ = [
     "SwappedSequence",
     "VictimCandidate",
     "count_clips",
+    "encode_kv_rows",
     "freeze_scales",
     "replayable_step_source",
     "synthetic_request",

@@ -1,32 +1,30 @@
 """The multi-sequence serving engine: one fused decode step for N sequences.
 
 :class:`ServingEngine` is the continuous-batching counterpart of
-:class:`repro.core.session.TokenPickerSession` (which is now a thin
-single-sequence adapter over it).  Per step it
+:class:`repro.core.session.TokenPickerSession` (one caller-owned
+sequence).  Per step it
 
 1. admits queued requests while batch slots and KV-pool headroom allow
    (prefill: prompt K/V into the pool, per-head scales frozen),
 2. draws every active sequence's new ``(q, k_t, v_t)`` from its decode
-   stream, appends the new token to the pooled cache and counts clip
-   events against the frozen calibration window,
+   stream, counts clip events against the frozen calibration window and
+   appends the encoded token to the pooled arena
+   (:func:`repro.serving.kv_pool.encode_kv_rows`, the one KV encoder
+   prefill and decode share),
 3. runs **one** fused ragged-batch Token-Picker kernel across all active
-   sequences (:func:`repro.core.pruning.token_picker_attention_ragged`) —
-   the breadth-schedule chunk rounds execute once per *batch*, with
-   pruning decisions bit-identical to stepping each sequence alone,
+   sequences straight on the arena
+   (:func:`repro.core.pruning.token_picker_attention_ragged`) — the
+   breadth-schedule chunk rounds execute once per *batch*, with pruning
+   decisions bit-identical to stepping each sequence alone,
 4. accumulates per-request traffic/latency stats and retires finished
    sequences, freeing their blocks for the next admission.
-
-Two entry modes share the fused path: the pooled mode above, and an
-*external-KV* mode (:meth:`admit_external` / :meth:`step_external`) where
-the caller owns the cache and hands the full K/V each step — the
-back-compat surface the session adapter uses.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,14 +40,14 @@ from repro.core.pruning import (
     PruneStats,
     token_picker_attention_ragged,
 )
-from repro.core.quantization import signed_chunk_digit
 from repro.model.attention import AccessCounter
 from repro.serving.kv_pool import (
     KVCachePool,
     PoolExhausted,
     SequenceScales,
     SwappedSequence,
-    count_clips,
+    digit_dtype,
+    encode_kv_rows,
     freeze_scales,
 )
 from repro.serving.request import (
@@ -62,58 +60,6 @@ from repro.serving.request import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.serving.scheduler import Scheduler
-
-
-def _encode_kv_into(
-    keys, values, scales: SequenceScales, quant, k_out, v_out
-) -> None:
-    """Frozen-scale encoding applied once, when a token enters the pool.
-
-    K is quantized and decomposed into its MSB-first chunk *digits* — the
-    representation the paper's DRAM layout streams — written straight
-    into the arena's token-major ``(n, H * n_chunks, d)`` rows.  Digits
-    are stored unshifted (the fused kernel applies each chunk's
-    power-of-two positional shift after its contraction), so they fit the
-    arena's float32 storage exactly for practical formats.  V is stored
-    quantize-dequantized.  Both are elementwise identical to what the
-    kernel would re-derive from the raw floats at every later step, so
-    storing them loses nothing and saves the per-step requantization of
-    the whole cache.
-    """
-    n_heads, n, head_dim = keys.shape
-    # Work in the arena's token-major layout from the start and reuse one
-    # buffer per stage: the quantize → pattern → per-chunk digit chain is
-    # elementwise, so in-place ufuncs produce bit-identical codes to the
-    # head-major + per-chunk-transpose formulation while skipping its
-    # temporaries and strided copies (prefill encodes whole prompts, so
-    # this is a measurable slice of time-to-first-token).
-    kt = keys.transpose(1, 0, 2)  # (n, H, d) view
-    buf = np.divide(kt, scales.k_scale[None, :, None])
-    np.rint(buf, out=buf)
-    np.clip(buf, quant.qmin, quant.qmax, out=buf)
-    pattern = buf.astype(np.int64)
-    np.bitwise_and(pattern, (1 << quant.total_bits) - 1, out=pattern)
-    k3 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
-    chunk_mask = (1 << quant.chunk_bits) - 1
-    digit = np.empty_like(pattern)
-    for c in range(quant.n_chunks):
-        shift = quant.total_bits - (c + 1) * quant.chunk_bits
-        np.right_shift(pattern, shift, out=digit)
-        np.bitwise_and(digit, chunk_mask, out=digit)
-        if c == 0:
-            # sign-extend the sign-carrying chunk (same rule as
-            # signed_chunk_digit, Eq. 4)
-            wrap = 1 << quant.chunk_bits
-            np.subtract(
-                digit, wrap, out=digit, where=digit >= (wrap >> 1)
-            )
-        k3[:, :, c, :] = digit
-    vsc = scales.v_scale[None, :, None]
-    vbuf = np.divide(values.transpose(1, 0, 2), vsc)
-    np.rint(vbuf, out=vbuf)
-    np.clip(vbuf, quant.qmin, quant.qmax, out=vbuf)
-    vbuf *= vsc
-    v_out[:] = vbuf
 
 
 @dataclass(frozen=True)
@@ -161,13 +107,12 @@ class EngineStepReport:
     results: Dict[int, BatchedPickerResult] = field(default_factory=dict)
     ragged_utilization: float = 1.0
     #: wall-clock seconds by phase: "pack" (draw/encode/append), "score"
-    #: (partial-score table + bounds), "prune" (breadth rounds), "unpack"
+    #: (partial scores + bounds), "prune" (breadth rounds), "unpack"
     #: (softmax/outputs/slicing + accounting) — the serve-sim ``--profile``
-    #: and benchmark breakdowns read this.  On the lazy score paths
-    #: (``score_backend`` "numpy"/"numba") the score phase is further
-    #: split into "score_chunk0" (the one full-width chunk-0 pass) and
-    #: "score_refine" (alive-set refinement rounds); the two sum to
-    #: "score".
+    #: and benchmark breakdowns read this.  The score phase is further
+    #: split into "score_chunk0" (kernel setup plus the one full-width
+    #: chunk-0 pass) and "score_refine" (alive-set refinement rounds);
+    #: the two sum to "score".
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: KV-tiering movement this step (zero on an untiered engine):
     #: tokens demoted / promoted, and sequences whose kernel call was
@@ -213,10 +158,9 @@ class _ActiveSequence:
     seq_id: int
     scales: SequenceScales
     stats: RequestStats
-    request: Optional[GenerationRequest] = None
-    step_source: Optional[StepSource] = None
+    request: GenerationRequest
+    step_source: StepSource
     remaining: int = 0
-    external: bool = False
     steps: int = 0
     #: prompt tokens ingested into the pool so far; the sequence joins
     #: the fused decode batch only once this reaches the prompt length
@@ -224,17 +168,11 @@ class _ActiveSequence:
 
     @property
     def prefilling(self) -> bool:
-        return (
-            self.request is not None
-            and not self.external
-            and self.prefill_pos < self.request.prompt_tokens
-        )
+        return self.prefill_pos < self.request.prompt_tokens
 
     @property
     def pending_prompt_tokens(self) -> int:
         """Prompt tokens admitted but not yet written to the pool."""
-        if self.request is None or self.external:
-            return 0
         return self.request.prompt_tokens - self.prefill_pos
 
 
@@ -464,7 +402,7 @@ class ServingEngine:
     @property
     def n_active(self) -> int:
         """Pooled sequences holding a batch slot (decoding or mid-prefill)."""
-        return sum(1 for e in self._active.values() if not e.external)
+        return len(self._active)
 
     @property
     def n_prefilling(self) -> int:
@@ -497,8 +435,6 @@ class ServingEngine:
         """
         total = sum(r.total_tokens for r in self.scheduler.pending)
         for entry in self._active.values():
-            if entry.external:
-                continue
             total += (
                 self.pool.length(entry.seq_id)
                 + entry.pending_prompt_tokens
@@ -522,9 +458,6 @@ class ServingEngine:
 
     def stats_of(self, seq_id: int) -> RequestStats:
         return self._entry(seq_id).stats
-
-    def scales_of(self, seq_id: int) -> SequenceScales:
-        return self._entry(seq_id).scales
 
     # ------------------------------------------------------------- admission
     def submit(self, request: GenerationRequest) -> int:
@@ -669,17 +602,13 @@ class ServingEngine:
                 return self._finish_abort(request, stats, state)
         for seq_id, entry in list(self._active.items()):
             request = entry.request
-            if (
-                request is not None
-                and not entry.external
-                and request.request_id == request_id
-            ):
+            if request.request_id == request_id:
                 self._release_sequence(seq_id, pooled=True)
                 del self._active[seq_id]
                 return self._finish_abort(request, entry.stats, state)
         for seq_id, rec in list(self._preempted.items()):
             request = rec.entry.request
-            if request is not None and request.request_id == request_id:
+            if request.request_id == request_id:
                 del self._preempted[seq_id]
                 self._release_sequence(seq_id, pooled=False)
                 return self._finish_abort(request, rec.entry.stats, state)
@@ -699,16 +628,8 @@ class ServingEngine:
         """
         now = time.perf_counter() if now is None else now
         live: List[GenerationRequest] = list(self.scheduler.pending)
-        live += [
-            e.request
-            for e in self._active.values()
-            if e.request is not None and not e.external
-        ]
-        live += [
-            r.entry.request
-            for r in self._preempted.values()
-            if r.entry.request is not None
-        ]
+        live += [e.request for e in self._active.values()]
+        live += [r.entry.request for r in self._preempted.values()]
         expired: List[CompletedRequest] = []
         for request in live:
             if request.deadline_ms is None or request.submitted_wall < 0:
@@ -740,7 +661,7 @@ class ServingEngine:
         """
         for seq_id, rec in list(self._preempted.items()):
             request = rec.entry.request
-            if request is not None and request.request_id == request_id:
+            if request.request_id == request_id:
                 del self._preempted[seq_id]
                 self._release_sequence(seq_id, pooled=False)
                 entry = rec.entry
@@ -857,15 +778,12 @@ class ServingEngine:
         are bit-identical).  Afterwards the engine holds no requests.
         """
         harvest = FailoverHarvest(queued=self.withdraw_pending())
-        for seq_id, rec in list(self._preempted.items()):
-            request = rec.entry.request
-            if request is None:
-                continue
-            harvest.swapped.append(self.export_preempted(request.request_id))
+        for rec in list(self._preempted.values()):
+            harvest.swapped.append(
+                self.export_preempted(rec.entry.request.request_id)
+            )
         for seq_id, entry in list(self._active.items()):
             request = entry.request
-            if request is None or entry.external:
-                continue
             self._release_sequence(seq_id, pooled=True)
             del self._active[seq_id]
             request.state = RequestState.QUEUED
@@ -891,22 +809,7 @@ class ServingEngine:
     def _ensure_pool(self, request: GenerationRequest) -> KVCachePool:
         if self.pool is None:
             quant = self.config.quant
-            # unshifted chunk digits contract exactly in float32 when
-            # every partial sum stays below 2**24; otherwise fall back to
-            # float64 digit storage (the kernel re-checks both gates)
-            digit_bound = (
-                request.head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
-            )
-            exact64 = (
-                2 * quant.total_bits - 2
-                + max(request.head_dim - 1, 1).bit_length()
-                <= 52
-            )
-            k_dtype = (
-                np.float32
-                if exact64 and digit_bound < 2 ** 24
-                else np.float64
-            )
+            k_dtype = digit_dtype(quant, request.head_dim)
             if self._shards > 1:
                 # lazy import: cluster sits above serving in the layer
                 # stack (the engine only reaches up when sharding is on)
@@ -1073,10 +976,11 @@ class ServingEngine:
                 dtype=self.pool.k_dtype,
             )
             v_slots = np.empty((n, self.pool.n_heads, self.pool.head_dim))
-        _encode_kv_into(
-            request.prompt_keys[:, start:start + n],
-            request.prompt_values[:, start:start + n],
-            entry.scales,
+        encode_kv_rows(
+            request.prompt_keys[:, start:start + n].transpose(1, 0, 2),
+            request.prompt_values[:, start:start + n].transpose(1, 0, 2),
+            entry.scales.k_scale[None],
+            entry.scales.v_scale[None],
             self.config.quant,
             k_slots,
             v_slots,
@@ -1136,9 +1040,7 @@ class ServingEngine:
         left: Optional[int] = None
         if budget is not None:
             n_decoding = sum(
-                1
-                for e in self._active.values()
-                if not e.external and not e.prefilling
+                1 for e in self._active.values() if not e.prefilling
             )
             left = max(budget - n_decoding, 0)
         for entry in waiting:
@@ -1169,10 +1071,6 @@ class ServingEngine:
         (:meth:`_resume_preempted` runs at the top of every step).
         """
         entry = self._entry(seq_id)
-        if entry.external:
-            raise ValueError(
-                f"sequence {seq_id} is external; the caller owns its cache"
-            )
         if self.tiers is not None:
             # patch sketch-only demoted rows from their cold copies first,
             # so the swapped segments stay byte-exact; swap_out then only
@@ -1184,16 +1082,15 @@ class ServingEngine:
             swapped = self.pool.swap_out(seq_id)
         del self._active[seq_id]
         entry.stats.preemptions += 1
-        if entry.request is not None:
-            entry.request.state = RequestState.PREEMPTED
-            if self.tracer:
-                self.tracer.begin(
-                    self.trace_label,
-                    f"req{entry.request.request_id}",
-                    "preempted",
-                    cat="request",
-                    args={"step": self._step_index},
-                )
+        entry.request.state = RequestState.PREEMPTED
+        if self.tracer:
+            self.tracer.begin(
+                self.trace_label,
+                f"req{entry.request.request_id}",
+                "preempted",
+                cat="request",
+                args={"step": self._step_index},
+            )
         self._preempted[seq_id] = _PreemptedSequence(
             entry=entry, swapped=swapped, preempted_step=self._step_index
         )
@@ -1224,29 +1121,26 @@ class ServingEngine:
                 self.tiers.on_swap_in(seq_id)
             del self._preempted[seq_id]
             self._active[seq_id] = entry
-            if entry.request is not None:
-                entry.request.state = (
-                    RequestState.PREFILLING
-                    if entry.prefilling
-                    else RequestState.RUNNING
+            entry.request.state = (
+                RequestState.PREFILLING
+                if entry.prefilling
+                else RequestState.RUNNING
+            )
+            report.resumed.append(entry.request.request_id)
+            if self.tracer:
+                self.tracer.end(
+                    self.trace_label,
+                    f"req{entry.request.request_id}",
+                    "preempted",
+                    args={"resumed_step": self._step_index},
                 )
-                report.resumed.append(entry.request.request_id)
-                if self.tracer:
-                    self.tracer.end(
-                        self.trace_label,
-                        f"req{entry.request.request_id}",
-                        "preempted",
-                        args={"resumed_step": self._step_index},
-                    )
             self.resumes_total += 1
 
     def _victim_candidates(self) -> List[VictimCandidate]:
         return [
             VictimCandidate(
                 seq_id=entry.seq_id,
-                request_id=(
-                    entry.request.request_id if entry.request else None
-                ),
+                request_id=entry.request.request_id,
                 retained_mass=entry.stats.mean_retained_mass,
                 admitted_step=entry.stats.admitted_step,
                 context_length=self.pool.length(entry.seq_id),
@@ -1261,7 +1155,6 @@ class ServingEngine:
                 prefilling=entry.prefilling,
             )
             for entry in self._active.values()
-            if not entry.external
         ]
 
     def _ensure_tokens(
@@ -1293,8 +1186,7 @@ class ServingEngine:
                     raise
                 victim_entry = self._active[victim]
                 self.preempt(victim)
-                if victim_entry.request is not None:
-                    report.preempted.append(victim_entry.request.request_id)
+                report.preempted.append(victim_entry.request.request_id)
                 if victim == entry.seq_id:
                     return False
 
@@ -1340,14 +1232,12 @@ class ServingEngine:
             )
         return token_picker_attention_ragged(
             qs,
-            None,
-            None,
             self.config,
+            k_plane_arena=self.pool.k_arena,
+            segments=segments,
             q_scales=q_scales,
             k_scales=k_scales,
-            k_plane_arena=self.pool.k_arena,
             v_arena=self.pool.v_arena,
-            segments=segments,
             scratch=self._scratch,
             phase_times=phase_times,
         )
@@ -1373,11 +1263,7 @@ class ServingEngine:
         report.admitted = [r.request_id for r in admitted]
         self._run_prefill(report)
 
-        pooled = [
-            e
-            for e in self._active.values()
-            if not e.external and not e.prefilling
-        ]
+        pooled = [e for e in self._active.values() if not e.prefilling]
         if pooled:
             pooled = self._preflight_growth(pooled, report)
         for rec in self._preempted.values():
@@ -1414,16 +1300,13 @@ class ServingEngine:
         # the pool holds what DRAM holds: the frozen-scale chunk-digit
         # encoding, written once per token — one batched encode, one
         # scatter into the arena
-        k_codes = np.clip(
-            np.rint(k_t / k_scales[:, :, None]), quant.qmin, quant.qmax
-        ).astype(np.int64)
-        pattern = k_codes & ((1 << quant.total_bits) - 1)  # 2's complement
-        k_rows = np.empty((n, n_heads, quant.n_chunks, head_dim))
-        for c in range(quant.n_chunks):
-            k_rows[:, :, c, :] = signed_chunk_digit(pattern, c, quant)
-        k_rows = k_rows.reshape(n, n_heads * quant.n_chunks, head_dim)
-        vsc = v_scales[:, :, None]
-        v_rows = np.clip(np.rint(v_t / vsc), quant.qmin, quant.qmax) * vsc
+        k_rows = np.empty(
+            (n, self.pool.k_heads, head_dim), dtype=self.pool.k_dtype
+        )
+        v_rows = np.empty((n, n_heads, head_dim))
+        encode_kv_rows(
+            k_t, v_t, k_scales, v_scales, quant, k_rows, v_rows
+        )
         seq_ids = [e.seq_id for e in pooled]
         self.pool.append_rows(seq_ids, k_rows, v_rows)
         if self.tiers is not None:
@@ -1478,7 +1361,7 @@ class ServingEngine:
             report.results[entry.seq_id] = result
             report.per_sequence[entry.seq_id] = SequenceStepView(
                 seq_id=entry.seq_id,
-                request_id=entry.request.request_id if entry.request else None,
+                request_id=entry.request.request_id,
                 context_length=self.pool.length(entry.seq_id),
                 stats=stats,
                 fast_bits=fast_bits,
@@ -1487,7 +1370,7 @@ class ServingEngine:
             entry.stats.generated_tokens += 1
             if entry.stats.generated_tokens == 1:
                 entry.stats.first_token_wall = time.perf_counter()
-                if self.tracer and entry.request is not None:
+                if self.tracer:
                     self.tracer.instant(
                         self.trace_label,
                         f"req{entry.request.request_id}",
@@ -1504,8 +1387,7 @@ class ServingEngine:
                 handle = self._prefix_handles.pop(entry.seq_id, None)
                 if handle is not None:
                     self.prefix_cache.release(handle)
-                if entry.request is not None:
-                    entry.request.state = RequestState.FINISHED
+                entry.request.state = RequestState.FINISHED
                 if self.tracer:
                     self.tracer.close_track(
                         self.trace_label,
@@ -1703,10 +1585,6 @@ class ServingEngine:
     ) -> List[PruneStats]:
         """Per-sequence + engine-wide traffic accounting for one step.
 
-        Per-request counters are distinct objects, so each takes its own
-        update; the engine-wide aggregate is applied once from the batch
-        totals rather than once per sequence.
-
         ``demoted_masks`` (tiered engines only) excludes demoted tokens
         from the retained-mass bound: their reported ``scores`` are the
         round-1 partials, not exact scores, so their Eq. 5 bound is not
@@ -1715,7 +1593,6 @@ class ServingEngine:
         negligible.
         """
         step_stats: List[PruneStats] = []
-        totals = [0, 0, 0, 0, 0, 0]
         track_mass = self.memory_manager is not None
         for i, (entry, result) in enumerate(zip(entries, results)):
             stats = result.stats()
@@ -1741,147 +1618,11 @@ class ServingEngine:
                 )
                 entry.stats.retained_mass_sum += float(1.0 - lost.mean())
                 entry.stats.retained_mass_steps += 1
-            counter = entry.stats.counter
-            counter.k_bits += stats.k_bits_fetched
-            counter.v_bits += stats.v_bits_fetched
-            counter.baseline_k_bits += stats.baseline_k_bits
-            counter.baseline_v_bits += stats.baseline_v_bits
-            counter.instances += instances
-            counter.tokens_seen += stats.n_tokens
-            counter.tokens_kept += stats.n_kept
-            totals[0] += stats.k_bits_fetched
-            totals[1] += stats.v_bits_fetched
-            totals[2] += stats.baseline_k_bits
-            totals[3] += stats.baseline_v_bits
-            totals[4] += stats.n_tokens
-            totals[5] += stats.n_kept
+            entry.stats.counter.add(stats, instances)
+            self.counter.add(stats, instances)
             entry.steps += 1
             step_stats.append(stats)
-        self.counter.k_bits += totals[0]
-        self.counter.v_bits += totals[1]
-        self.counter.baseline_k_bits += totals[2]
-        self.counter.baseline_v_bits += totals[3]
-        self.counter.instances += instances * len(step_stats)
-        self.counter.tokens_seen += totals[4]
-        self.counter.tokens_kept += totals[5]
         return step_stats
-
-    def _fused(
-        self,
-        entries: Sequence[_ActiveSequence],
-        qs: np.ndarray,
-        keys: Optional[List[np.ndarray]] = None,
-        values: Optional[List[np.ndarray]] = None,
-        k_planes: Optional[List[np.ndarray]] = None,
-        v_deq: Optional[List[np.ndarray]] = None,
-        score_bias: Optional[List[Optional[np.ndarray]]] = None,
-    ) -> Dict[int, Tuple[BatchedPickerResult, PruneStats]]:
-        """Shared fused-kernel call + traffic accounting (list inputs)."""
-        ragged = token_picker_attention_ragged(
-            qs,
-            keys,
-            values,
-            self.config,
-            score_bias=score_bias,
-            q_scales=np.stack([e.scales.q_scale for e in entries]),
-            k_scales=np.stack([e.scales.k_scale for e in entries]),
-            v_scales=np.stack([e.scales.v_scale for e in entries]),
-            k_planes=k_planes,
-            v_deq=v_deq,
-            scratch=self._scratch,
-        )
-        step_stats = self._account(entries, ragged.results, instances=qs.shape[1])
-        return {
-            entry.seq_id: (result, stats)
-            for entry, result, stats in zip(entries, ragged.results, step_stats)
-        }
-
-    # ----------------------------------------------------- external-KV mode
-    def admit_external(
-        self,
-        prompt_keys: np.ndarray,
-        prompt_values: np.ndarray,
-        queries: Optional[np.ndarray] = None,
-        stats: Optional[RequestStats] = None,
-    ) -> int:
-        """Register a sequence whose KV cache the *caller* owns.
-
-        Scales are frozen from the prompt exactly as pooled admission does,
-        but nothing is written to the pool: every :meth:`step_external`
-        call supplies the full (H, t, d) K/V.  This is the session
-        adapter's path.  Passing an existing ``stats`` keeps accumulating
-        into it — how a session preserves its traffic/clip history across
-        recalibrations.
-        """
-        scales = freeze_scales(
-            prompt_keys,
-            prompt_values,
-            self.config.quant,
-            self.safety_factor,
-            queries=queries,
-        )
-        seq_id = self._next_seq_id
-        self._next_seq_id += 1
-        keys = np.asarray(prompt_keys)
-        if stats is None:
-            stats = RequestStats(
-                prompt_tokens=keys.shape[1],
-                submitted_step=self._step_index,
-                admitted_step=self._step_index,
-            )
-        self._active[seq_id] = _ActiveSequence(
-            seq_id=seq_id,
-            scales=scales,
-            stats=stats,
-            external=True,
-        )
-        return seq_id
-
-    def release_external(self, seq_id: int) -> RequestStats:
-        """Drop an external sequence, returning its accumulated stats."""
-        entry = self._entry(seq_id)
-        if not entry.external:
-            raise ValueError(f"sequence {seq_id} is pooled; it retires itself")
-        del self._active[seq_id]
-        return entry.stats
-
-    def step_external(
-        self,
-        inputs: Mapping[int, Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        score_bias: Optional[Mapping[int, np.ndarray]] = None,
-    ) -> Dict[int, BatchedPickerResult]:
-        """Fused decode step over external-KV sequences.
-
-        ``inputs[seq_id] = (q (H, d), keys (H, t, d), values (H, t, d))``.
-        Clip events are counted over the *full* provided tensors (the
-        caller re-supplies the whole cache, so the whole cache is checked
-        against the frozen window — the original session semantics).
-        """
-        if not inputs:
-            return {}
-        entries = []
-        qs, keys, values, biases = [], [], [], []
-        quant = self.config.quant
-        order = Scheduler.pack_order(
-            {sid: np.asarray(kv[1]).shape[1] for sid, kv in inputs.items()}
-        )
-        for sid in order:
-            entry = self._entry(sid)
-            if not entry.external:
-                raise ValueError(f"sequence {sid} is pooled; use step()")
-            q, k, v = (np.asarray(x, dtype=np.float64) for x in inputs[sid])
-            entry.stats.clip_events += count_clips(q, entry.scales.q_scale, quant)
-            entry.stats.clip_events += count_clips(k, entry.scales.k_scale, quant)
-            entry.stats.clip_events += count_clips(v, entry.scales.v_scale, quant)
-            entries.append(entry)
-            qs.append(q)
-            keys.append(k)
-            values.append(v)
-            biases.append(score_bias.get(sid) if score_bias else None)
-        fused = self._fused(
-            entries, np.stack(qs), keys, values, score_bias=biases
-        )
-        return {sid: result for sid, (result, _) in fused.items()}
 
     def _entry(self, seq_id: int) -> _ActiveSequence:
         try:

@@ -79,6 +79,73 @@ def count_clips(x: np.ndarray, scale: np.ndarray, quant: QuantConfig) -> int:
     return int((np.abs(x) > limit).sum())
 
 
+def digit_dtype(quant: QuantConfig, head_dim: int):
+    """Storage dtype for a K arena of unshifted chunk digits.
+
+    float32 when every digit/query contraction stays exact in float32
+    (partial sums below ``2**24``, and the full dot exact in float64);
+    float64 otherwise — the fused kernel re-checks both gates.
+    """
+    digit_bound = head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
+    exact64 = (
+        2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() <= 52
+    )
+    return np.float32 if exact64 and digit_bound < 2 ** 24 else np.float64
+
+
+def encode_kv_rows(
+    keys: np.ndarray,
+    values: np.ndarray,
+    k_scales: np.ndarray,
+    v_scales: np.ndarray,
+    quant: QuantConfig,
+    k_out: np.ndarray,
+    v_out: np.ndarray,
+) -> None:
+    """Frozen-scale encoding applied once, when a token enters an arena.
+
+    ``keys``/``values`` are token-major ``(n, H, d)`` rows;
+    ``k_scales``/``v_scales`` are ``(n, H)`` per-row scales, or ``(1, H)``
+    when every row shares one sequence's scales.  K is quantized and
+    decomposed into its MSB-first chunk *digits* — the representation
+    the paper's DRAM layout streams — written into ``k_out``'s
+    token-major ``(n, H * n_chunks, d)`` rows.  Digits are stored
+    unshifted (the fused kernel applies each chunk's power-of-two
+    positional shift after its contraction), so they fit a float32
+    arena exactly for practical formats.  V is written to ``v_out``
+    quantize-dequantized.  Storing the encoding loses nothing: it is
+    elementwise what the kernel would re-derive from the raw floats at
+    every later step.
+    """
+    n, n_heads, head_dim = keys.shape
+    # One buffer per stage: the quantize → pattern → per-chunk digit
+    # chain is elementwise, so in-place ufuncs skip the temporaries.
+    buf = np.divide(keys, k_scales[:, :, None])
+    np.rint(buf, out=buf)
+    np.clip(buf, quant.qmin, quant.qmax, out=buf)
+    pattern = buf.astype(np.int64)
+    np.bitwise_and(pattern, (1 << quant.total_bits) - 1, out=pattern)
+    k3 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
+    chunk_mask = (1 << quant.chunk_bits) - 1
+    digit = np.empty_like(pattern)
+    for c in range(quant.n_chunks):
+        shift = quant.total_bits - (c + 1) * quant.chunk_bits
+        np.right_shift(pattern, shift, out=digit)
+        np.bitwise_and(digit, chunk_mask, out=digit)
+        if c == 0:
+            # sign-extend the sign-carrying chunk (same rule as
+            # signed_chunk_digit, Eq. 4)
+            wrap = 1 << quant.chunk_bits
+            np.subtract(digit, wrap, out=digit, where=digit >= (wrap >> 1))
+        k3[:, :, c, :] = digit
+    vsc = v_scales[:, :, None]
+    vbuf = np.divide(values, vsc)
+    np.rint(vbuf, out=vbuf)
+    np.clip(vbuf, quant.qmin, quant.qmax, out=vbuf)
+    vbuf *= vsc
+    v_out[:] = vbuf
+
+
 class PoolExhausted(RuntimeError):
     """Raised when an allocation cannot be satisfied from the hole list."""
 

@@ -1,4 +1,4 @@
-"""Continuous-batching admission control and ragged-batch packing.
+"""Continuous-batching admission control.
 
 The scheduler owns the pending queue: requests are admitted FIFO whenever a
 batch slot *and* enough KV-pool headroom for the request's admission
@@ -13,10 +13,10 @@ admission: batches re-fill continuously instead of draining in lockstep.
 An optional small-request bypass (``admit(..., allow_bypass=True)``)
 relaxes head-of-line blocking without reordering the blocked remainder.
 
-Packing for the fused kernel is longest-context-first
-(:meth:`Scheduler.pack_order`): the ragged kernel lays sequences out as
-contiguous slabs on one flat token axis, and length-sorted order keeps the
-per-round alive frontier dense at the front of that axis.
+The scheduler does not order the fused kernel's batch: the kernel
+computes straight on the KV arena, where each sequence keeps its pool
+offset.  :meth:`Scheduler.ragged_utilization` reports how much a
+rectangular pad-to-max batch would waste against that ragged layout.
 """
 
 from __future__ import annotations
@@ -142,12 +142,7 @@ class Scheduler:
             "bypassed": self.bypassed_total,
         }
 
-    # --------------------------------------------------------------- packing
-    @staticmethod
-    def pack_order(lengths: Dict[int, int]) -> List[int]:
-        """Sequence ids, longest context first (ties keep insertion order)."""
-        return sorted(lengths, key=lambda sid: -lengths[sid])
-
+    # ----------------------------------------------------------- utilization
     @staticmethod
     def ragged_utilization(lengths: Sequence[int]) -> float:
         """Packed-token fraction vs a rectangular pad-to-max batch.

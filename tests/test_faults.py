@@ -190,12 +190,7 @@ class TestFailoverHarvest:
                 # preempt whatever replica 0 is decoding, then kill it:
                 # the harvest carries the swapped host copy
                 engine = router.replicas[0]
-                seq_ids = [
-                    sid
-                    for sid, e in engine._active.items()
-                    if not e.external
-                ]
-                for sid in seq_ids:
+                for sid in list(engine._active):
                     engine.preempt(sid)
                 inj._apply(FaultEvent(step=0, action="kill", replica=0))
             while router.busy or inj.pending_retries:

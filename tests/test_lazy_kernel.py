@@ -1,9 +1,11 @@
-"""Lazy alive-set score kernel: bit-identity with the eager reference.
+"""Lazy alive-set score kernel: bit-identity with the batched reference.
 
-The lazy pipeline (``score_backend="numpy"``/``"numba"``) fetches chunk 0
-for every token and later chunks only for undecided (head, token) pairs,
-switching between dense full-width rounds and compacted pair gathers as
-the alive set thins.  Its contract against the eager full-table kernel:
+The fused arena kernel fetches chunk 0 for every token and later chunks
+only for undecided (head, token) pairs, switching between dense
+full-width rounds and compacted pair gathers as the alive set thins.
+Its contract against independent per-sequence
+``token_picker_attention_batched`` calls with the same scales (the
+full-table rectangular reference):
 
 * kept sets, chunks fetched, probabilities, outputs and log
   denominators are **bit-identical** (``array_equal``) — pruning
@@ -12,8 +14,8 @@ the alive set thins.  Its contract against the eager full-table kernel:
 * a pruned token's reported score is its certified upper bound at the
   round that pruned it (``p'' >= p``, Eq. 5) — its remaining chunks
   were never fetched, which is the whole point;
-* ``round_alive`` (pairs entering each round) matches between paths
-  and is monotone non-increasing.
+* ``round_alive`` (pairs entering each round) is what the reference's
+  fetch counts imply, and is monotone non-increasing.
 
 Property-swept across arena dtypes (float32 / float64 / the int64
 wide-format fallback), quant formats straddling the 52-bit float64
@@ -37,7 +39,13 @@ from repro.kvstore import TierConfig
 from repro.serving import ServingEngine, synthetic_request
 from test_kvstore import _assert_identical as _assert_drains_identical
 from test_kvstore import _drain_collecting
-from test_ragged_kernel import _build_arena, _make_batch
+from test_ragged_kernel import (
+    _assert_matches_references,
+    _build_arena,
+    _make_batch,
+    _references,
+)
+from test_ragged_kernel import _run_arena as _run_arena_with
 
 #: (quant format, arena dtype) — float32 for the paper's 12-bit format,
 #: float64 for formats exact under the 52-bit gate
@@ -56,35 +64,10 @@ HEAD_DIM = 24
 
 
 def _run_arena(config, qs, keys, values, scales, dtype, biases=None):
-    q_sc, k_sc, v_sc = scales
-    k_arena, v_arena, segments = _build_arena(
-        keys, values, k_sc, v_sc, config.quant, dtype
-    )
-    return token_picker_attention_ragged(
-        qs, None, None, config,
-        score_bias=biases,
-        q_scales=q_sc, k_scales=k_sc,
-        k_plane_arena=k_arena, v_arena=v_arena, segments=segments,
+    return _run_arena_with(
+        config, qs, keys, values, scales, dtype, biases,
         scratch=KernelScratch(),
     )
-
-
-def _assert_lazy_matches_eager(lazy, eager):
-    assert np.array_equal(lazy.round_alive, eager.round_alive)
-    assert np.all(np.diff(lazy.round_alive) <= 0)
-    for lz, eg in zip(lazy.results, eager.results):
-        assert np.array_equal(lz.kept, eg.kept)
-        assert np.array_equal(lz.chunks_fetched, eg.chunks_fetched)
-        assert np.array_equal(lz.probs, eg.probs)
-        assert np.array_equal(lz.outputs, eg.outputs)
-        assert np.array_equal(lz.log_denominators, eg.log_denominators)
-        kept = eg.kept
-        # kept scores exact, pruned scores certified upper bounds
-        assert np.array_equal(lz.scores[kept], eg.scores[kept])
-        assert np.all(
-            lz.scores[~kept]
-            >= eg.scores[~kept] - (1e-9 + 1e-9 * np.abs(eg.scores[~kept]))
-        )
 
 
 class TestLazyVsEagerSweep:
@@ -115,21 +98,13 @@ class TestLazyVsEagerSweep:
             rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             for _ in range(3)
         )
-        eager = _run_arena(
-            TokenPickerConfig(
-                threshold=thr, quant=quant, prompt_guard=guard,
-                score_backend="eager",
-            ),
-            qs, keys, values, scales, dtype, biases,
+        config = TokenPickerConfig(
+            threshold=thr, quant=quant, prompt_guard=guard
         )
-        lazy = _run_arena(
-            TokenPickerConfig(
-                threshold=thr, quant=quant, prompt_guard=guard,
-                score_backend="numpy",
-            ),
-            qs, keys, values, scales, dtype, biases,
+        lazy = _run_arena(config, qs, keys, values, scales, dtype, biases)
+        _assert_matches_references(
+            lazy, _references(config, qs, keys, values, scales, biases)
         )
-        _assert_lazy_matches_eager(lazy, eager)
 
 
 class TestLazyEdges:
@@ -151,14 +126,9 @@ class TestLazyEdges:
             threshold=2e-3, quant=QuantConfig(8, 8), score_backend="numpy"
         )
         lazy = _run_arena(config, qs, keys, values, scales, np.float64)
-        eager = _run_arena(
-            TokenPickerConfig(
-                threshold=2e-3, quant=QuantConfig(8, 8),
-                score_backend="eager",
-            ),
-            qs, keys, values, scales, np.float64,
+        _assert_matches_references(
+            lazy, _references(config, qs, keys, values, scales)
         )
-        _assert_lazy_matches_eager(lazy, eager)
         assert lazy.round_alive.shape == (2,)
         for r in lazy.results:
             assert np.all(r.chunks_fetched == 1)
@@ -166,40 +136,33 @@ class TestLazyEdges:
     def test_guard_covering_everything_keeps_scores_exact(self):
         """With every token guarded nothing is ever pruned, so the lazy
         path runs every refinement round to full depth and its *entire*
-        score matrix — not just kept entries — is the eager one."""
+        score matrix — not just kept entries — is the reference's."""
         qs, keys, values, scales = self._case(seed=3)
-        lazy = _run_arena(
-            TokenPickerConfig(
-                threshold=2e-3, prompt_guard=10_000, score_backend="numpy"
-            ),
-            qs, keys, values, scales, np.float32,
-        )
-        eager = _run_arena(
-            TokenPickerConfig(
-                threshold=2e-3, prompt_guard=10_000, score_backend="eager"
-            ),
-            qs, keys, values, scales, np.float32,
-        )
-        _assert_lazy_matches_eager(lazy, eager)
-        for lz, eg in zip(lazy.results, eager.results):
-            assert np.array_equal(lz.scores, eg.scores)
+        config = TokenPickerConfig(threshold=2e-3, prompt_guard=10_000)
+        lazy = _run_arena(config, qs, keys, values, scales, np.float32)
+        references = _references(config, qs, keys, values, scales)
+        _assert_matches_references(lazy, references)
+        for lz, ref in zip(lazy.results, references):
+            assert np.array_equal(lz.scores, ref.scores)
             assert lz.kept.all()
 
     def test_depth_schedule_rejected_on_every_backend(self):
-        for backend in ("eager", "numpy", "numba"):
+        n_chunks = TokenPickerConfig().quant.n_chunks
+        for backend in ("numpy", "numba"):
             config = TokenPickerConfig(
                 schedule="depth", score_backend=backend
             )
             with pytest.raises(ValueError, match="breadth"):
                 token_picker_attention_ragged(
-                    np.zeros((1, 2, 8)), [np.zeros((2, 3, 8))],
-                    [np.zeros((2, 3, 8))], config,
+                    np.zeros((1, 2, 8)), config,
+                    k_plane_arena=np.zeros((3, 2 * n_chunks, 8)),
+                    segments=np.array([[0, 3]]),
+                    q_scales=np.ones((1, 2)), k_scales=np.ones((1, 2)),
                 )
 
     def test_lazy_matches_independent_batched_calls(self):
-        """Transitivity check straight against the serving contract's
-        ground truth (independent batched calls), not just the eager
-        ragged path."""
+        """Field-by-field check straight against the serving contract's
+        ground truth (independent batched calls) on a float32 arena."""
         qs, keys, values, scales = self._case(seed=11)
         q_sc, k_sc, v_sc = scales
         config = TokenPickerConfig(threshold=2e-3, score_backend="numpy")
@@ -246,10 +209,10 @@ class TestScratchReuse:
 
         def call():
             return token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena,
-                segments=segments, scratch=scratch,
+                qs, config,
+                k_plane_arena=k_arena, segments=segments,
+                q_scales=q_sc, k_scales=k_sc, v_arena=v_arena,
+                scratch=scratch,
             )
 
         first = call()
@@ -263,9 +226,14 @@ class TestScratchReuse:
         assert set(scratch._buffers) == set(buffers_after_first)
         for key, buf in scratch._buffers.items():
             assert buf is buffers_after_first[key], key
-        _assert_lazy_matches_eager(
-            second, first
-        )  # identical inputs -> identical outputs through reused scratch
+        # identical inputs -> identical outputs through reused scratch
+        assert np.array_equal(second.round_alive, first.round_alive)
+        for a, b in zip(second.results, first.results):
+            for field in (
+                "kept", "chunks_fetched", "scores", "probs", "outputs",
+                "log_denominators",
+            ):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 CFG_KW = dict(threshold=2e-3)
@@ -282,7 +250,8 @@ def _requests(n, prompt=96, new=12, seed=0, head_dim=32):
 
 class TestEngineBackendIdentity:
     def _engine(
-        self, backend, tier=None, batch=4, capacity=None, preemptible=False
+        self, backend="numpy", tier=None, batch=4, capacity=None,
+        preemptible=False,
     ):
         kwargs = {}
         if preemptible:
@@ -304,42 +273,40 @@ class TestEngineBackendIdentity:
         )
 
     def test_backends_identical_under_preemption(self):
-        """Lazy vs eager engines on the same overcommitted workload:
-        identical outputs step for step, through swap-out/swap-in."""
-        lazy_engine = self._engine(
-            "numpy", batch=4, capacity=4 * 72, preemptible=True
+        """An overcommitted engine that preempts (swap-out/swap-in)
+        against an untiered engine with room for everything and no
+        preemption: identical per-request outputs step for step."""
+        preempting = self._engine(
+            batch=4, capacity=4 * 72, preemptible=True
         )
-        eager_engine = self._engine(
-            "eager", batch=4, capacity=4 * 72, preemptible=True
-        )
+        roomy = self._engine(batch=4, capacity=8 * 72)
         lazy = _drain_collecting(
-            lazy_engine, _requests(8, prompt=48, new=24, seed=5)
+            preempting, _requests(8, prompt=48, new=24, seed=5)
         )
-        eager = _drain_collecting(
-            eager_engine, _requests(8, prompt=48, new=24, seed=5)
+        baseline = _drain_collecting(
+            roomy, _requests(8, prompt=48, new=24, seed=5)
         )
-        assert lazy_engine.preemptions_total > 0
-        _assert_drains_identical(lazy, eager)
+        assert preempting.preemptions_total > 0
+        assert roomy.preemptions_total == 0
+        _assert_drains_identical(lazy, baseline)
 
     def test_tiered_lazy_matches_untiered_eager(self):
         """The strongest composition: the lazy kernel under tiered KV
         demotion (including promotion-triggered kernel re-runs) against
-        the untiered eager baseline — still bit-identical."""
+        an untiered run without preemption — still bit-identical."""
         tier = TierConfig(
             policy="recency", recency_window=4, hot_tail=4,
             survive_idle_steps=1,
         )
-        baseline = _drain_collecting(
-            self._engine("eager"), _requests(4)
-        )
-        tiered_engine = self._engine("numpy", tier=tier)
+        baseline = _drain_collecting(self._engine(), _requests(4))
+        tiered_engine = self._engine(tier=tier)
         tiered = _drain_collecting(tiered_engine, _requests(4))
         _assert_drains_identical(baseline, tiered)
         assert tiered_engine.tiers.promotions_total > 0
         assert tiered_engine.tiers.rerun_steps_total > 0
 
     def test_engine_accumulates_round_alive(self):
-        engine = self._engine("numpy")
+        engine = self._engine()
         for request in _requests(4):
             engine.submit(request)
         reports = engine.run_until_drained()

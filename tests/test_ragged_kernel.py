@@ -1,14 +1,19 @@
-"""Ragged-batch kernel equivalence: fused == N independent batched calls.
+"""Ragged-batch kernel equivalence: fused arena call == N batched calls.
 
-The serving engine's correctness rests on one property: packing N
-sequences with mixed context lengths into one fused kernel call changes
-*nothing* — every per-sequence output array, every pruning decision and
-every traffic statistic is bit-identical to calling
-``token_picker_attention_batched`` on each sequence alone.  These tests
-assert exact (``array_equal``, not ``allclose``) equality, property-based
-over mixed lengths, head counts, thresholds, chunk formats, biases and
-frozen-vs-derived scales.
+The serving engine's correctness rests on one property: running N
+sequences with mixed context lengths through one fused kernel call on
+the packed KV arena changes *nothing* that decides or prices attention
+— every pruning decision, fetched-chunk count, probability, output, log
+denominator and traffic statistic is bit-identical to calling
+``token_picker_attention_batched`` on each sequence alone with the same
+scales.  Only a pruned token's reported score differs: the fused kernel
+reports its certified upper bound (the bound-score contract).  These
+tests assert exact (``array_equal``, not ``allclose``) equality,
+property-based over mixed lengths, head counts, thresholds, chunk
+formats, arena dtypes, biases and frozen-vs-data-derived scales.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from repro.core import (
 )
 from repro.core.pruning import KernelScratch
 from repro.core.quantization import split_chunks
+from repro.serving.kv_pool import encode_kv_rows
 
 
 def _make_batch(rng, n_seqs, n_heads, head_dim, max_len, with_bias):
@@ -73,16 +79,67 @@ def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
     return k_arena, v_arena, segments
 
 
-def _assert_identical(ragged_result, independent, scores="exact"):
+def _data_scales(qs, keys, values, quant):
+    """(S, H) per-head scales derived from the data — the batched
+    kernel's default calibration (1.0 where a tensor is empty or zero)."""
+
+    def of(x, axes):
+        if x.size == 0:
+            return np.ones(x.shape[0])
+        max_abs = np.abs(x).max(axis=axes)
+        return np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
+
+    return (
+        np.stack([of(q, 1) for q in qs]),
+        np.stack([of(k, (1, 2)) for k in keys]),
+        np.stack([of(v, (1, 2)) for v in values]),
+    )
+
+
+def _run_arena(
+    config, qs, keys, values, scales, dtype=np.float32, biases=None,
+    scratch=None,
+):
+    """Build the packed arena from float K/V under ``scales`` (q, k, v)
+    and make one fused kernel call; ``values=None`` runs scores only."""
+    q_sc, k_sc, v_sc = scales
+    k_arena, v_arena, segments = _build_arena(
+        keys,
+        values if values is not None else [np.zeros_like(k) for k in keys],
+        k_sc, v_sc, config.quant, dtype,
+    )
+    return token_picker_attention_ragged(
+        qs, config,
+        k_plane_arena=k_arena, segments=segments,
+        q_scales=q_sc, k_scales=k_sc,
+        v_arena=v_arena if values is not None else None,
+        score_bias=biases, scratch=scratch,
+    )
+
+
+def _references(config, qs, keys, values, scales, biases=None):
+    """Independent rectangular calls, one per sequence, same scales."""
+    q_sc, k_sc, v_sc = scales
+    return [
+        token_picker_attention_batched(
+            qs[s], keys[s], None if values is None else values[s], config,
+            score_bias=None if biases is None else biases[s],
+            q_scales=q_sc[s], k_scales=k_sc[s], v_scales=v_sc[s],
+        )
+        for s in range(len(keys))
+    ]
+
+
+def _assert_identical(ragged_result, independent, scores="bound"):
     """Bit-identity of every decision-bearing field.
 
-    ``scores="exact"`` additionally requires the full score matrix to
-    match (the eager kernel's contract).  ``scores="bound"`` is the lazy
-    kernel's contract: kept tokens' scores are still the exact
-    full-depth values, while a pruned token's reported score is its
-    certified upper bound at the round that pruned it (``p'' >= p``,
-    so the reported score dominates the exact one; its remaining chunks
-    are never fetched).
+    ``scores="bound"`` is the fused kernel's contract: kept tokens'
+    scores are the exact full-depth values, while a pruned token's
+    reported score is its certified upper bound at the round that
+    pruned it (``p'' >= p``, so the reported score dominates the exact
+    one; its remaining chunks are never fetched).  ``scores="exact"``
+    additionally requires the full score matrix to match (nothing was
+    pruned, or both sides are fused results).
     """
     assert np.array_equal(ragged_result.kept, independent.kept)
     assert np.array_equal(ragged_result.chunks_fetched, independent.chunks_fetched)
@@ -105,6 +162,27 @@ def _assert_identical(ragged_result, independent, scores="exact"):
     else:
         assert np.array_equal(ragged_result.outputs, independent.outputs)
     assert ragged_result.stats() == independent.stats()
+
+
+def _assert_matches_references(ragged, references):
+    """Every sequence follows the bound-score contract, and
+    ``round_alive`` is what the references' fetch counts imply: pairs
+    entering round ``b`` fetched at least ``b + 1`` chunks, and the last
+    slot is the kept count."""
+    assert ragged.n_sequences == len(references)
+    for result, independent in zip(ragged.results, references):
+        _assert_identical(result, independent)
+    n_chunks = references[0].quant.n_chunks
+    expected = np.array(
+        [
+            sum(int((r.chunks_fetched >= b + 1).sum()) for r in references)
+            for b in range(n_chunks)
+        ]
+        + [sum(int(r.kept.sum()) for r in references)]
+    )
+    if expected.any():
+        assert np.array_equal(ragged.round_alive, expected)
+        assert np.all(np.diff(ragged.round_alive) <= 0)
 
 
 class TestBitIdenticalEquivalence:
@@ -131,68 +209,75 @@ class TestBitIdenticalEquivalence:
         qs, keys, values, biases = _make_batch(
             rng, n_seqs, n_heads, head_dim, max_len, with_bias
         )
-        scales = {}
         if frozen_scales:
-            scales = {
-                "q_scales": rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)),
-                "k_scales": rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)),
-                "v_scales": rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)),
-            }
-        ragged = token_picker_attention_ragged(
-            qs, keys, values, config, score_bias=biases, **scales
-        )
-        for s in range(n_seqs):
-            independent = token_picker_attention_batched(
-                qs[s],
-                keys[s],
-                values[s],
-                config,
-                score_bias=None if biases is None else biases[s],
-                **{k: v[s] for k, v in scales.items()},
+            scales = tuple(
+                rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
+                for _ in range(3)
             )
-            _assert_identical(ragged.results[s], independent)
+        else:
+            scales = _data_scales(qs, keys, values, config.quant)
+        ragged = _run_arena(config, qs, keys, values, scales, biases=biases)
+        _assert_matches_references(
+            ragged, _references(config, qs, keys, values, scales, biases)
+        )
 
     def test_long_contexts_past_pairwise_summation_blocks(self):
         """Lengths above numpy's 128-element pairwise-sum block still match."""
         rng = np.random.default_rng(7)
         config = TokenPickerConfig(threshold=2e-3)
         qs, keys, values, _ = _make_batch(rng, 4, 2, 48, 700, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
-        for s in range(4):
-            _assert_identical(
-                ragged.results[s],
-                token_picker_attention_batched(qs[s], keys[s], values[s], config),
-            )
+        scales = _data_scales(qs, keys, values, config.quant)
+        ragged = _run_arena(config, qs, keys, values, scales)
+        _assert_matches_references(
+            ragged, _references(config, qs, keys, values, scales)
+        )
 
     def test_scores_only_mode(self):
         rng = np.random.default_rng(3)
         config = TokenPickerConfig(threshold=2e-3)
         qs, keys, values, _ = _make_batch(rng, 3, 2, 16, 60, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, None, config)
-        for s in range(3):
-            independent = token_picker_attention_batched(
-                qs[s], keys[s], None, config
-            )
-            _assert_identical(ragged.results[s], independent)
+        scales = _data_scales(qs, keys, values, config.quant)
+        ragged = _run_arena(config, qs, keys, None, scales)
+        _assert_matches_references(
+            ragged, _references(config, qs, keys, None, scales)
+        )
 
     def test_wide_chunk_format(self):
         quant = QuantConfig(total_bits=8, chunk_bits=2)
         config = TokenPickerConfig(threshold=2e-3, quant=quant)
         rng = np.random.default_rng(11)
         qs, keys, values, _ = _make_batch(rng, 3, 2, 8, 70, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
-        for s in range(3):
-            _assert_identical(
-                ragged.results[s],
-                token_picker_attention_batched(qs[s], keys[s], values[s], config),
+        scales = _data_scales(qs, keys, values, quant)
+        ragged = _run_arena(config, qs, keys, values, scales)
+        _assert_matches_references(
+            ragged, _references(config, qs, keys, values, scales)
+        )
+
+    @staticmethod
+    def _pool_encoded_arena(keys, values, k_sc, v_sc, quant, dtype):
+        """Arena written by the serving pool's encoder, gap-free."""
+        n_heads, _, head_dim = keys[0].shape
+        total = sum(k.shape[1] for k in keys)
+        k_arena = np.zeros((total, n_heads * quant.n_chunks, head_dim), dtype)
+        v_arena = np.zeros((total, n_heads, head_dim))
+        segments = np.zeros((len(keys), 2), dtype=np.int64)
+        offset = 0
+        for s, (k, v) in enumerate(zip(keys, values)):
+            t = k.shape[1]
+            encode_kv_rows(
+                k.transpose(1, 0, 2), v.transpose(1, 0, 2),
+                k_sc[s][None], v_sc[s][None], quant,
+                k_arena[offset:offset + t], v_arena[offset:offset + t],
             )
+            segments[s] = (offset, t)
+            offset += t
+        return k_arena, v_arena, segments
 
     def test_pre_encoded_planes_and_values_match_float_path(self):
-        """The serving pool's encode-once representation (chunk planes +
-        quantize-dequantized V under frozen scales) must reproduce the
-        float path bit for bit."""
-        from repro.core.quantization import chunk_plane_values
-
+        """The serving pool's encode-once representation (chunk digits +
+        quantize-dequantized V under frozen scales, written by
+        ``encode_kv_rows``) must reproduce the float reference bit for
+        bit."""
         rng = np.random.default_rng(13)
         config = TokenPickerConfig(threshold=2e-3)
         quant = config.quant
@@ -200,40 +285,26 @@ class TestBitIdenticalEquivalence:
         qs, keys, values, _ = _make_batch(
             rng, n_seqs, n_heads, head_dim, 120, with_bias=False
         )
-        k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-        q_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-        v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-        planes, v_deq = [], []
-        for s in range(n_seqs):
-            codes = np.clip(
-                np.rint(keys[s] / k_sc[s][:, None, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            planes.append(
-                chunk_plane_values(codes, quant).transpose(0, 3, 1, 2)
-            )
-            vsc = v_sc[s][:, None, None]
-            v_deq.append(
-                np.clip(np.rint(values[s] / vsc), quant.qmin, quant.qmax) * vsc
-            )
+        scales = tuple(
+            rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)) for _ in range(3)
+        )
+        q_sc, k_sc, v_sc = scales
+        k_arena, v_arena, segments = self._pool_encoded_arena(
+            keys, values, k_sc, v_sc, quant, np.float32
+        )
         encoded = token_picker_attention_ragged(
-            qs, None, None, config,
-            q_scales=q_sc, k_scales=k_sc, v_scales=v_sc,
-            k_planes=planes, v_deq=v_deq,
+            qs, config,
+            k_plane_arena=k_arena, segments=segments,
+            q_scales=q_sc, k_scales=k_sc, v_arena=v_arena,
         )
-        floats = token_picker_attention_ragged(
-            qs, keys, values, config,
-            q_scales=q_sc, k_scales=k_sc, v_scales=v_sc,
+        _assert_matches_references(
+            encoded, _references(config, qs, keys, values, scales)
         )
-        for s in range(n_seqs):
-            _assert_identical(encoded.results[s], floats.results[s])
 
     def test_pre_encoded_planes_wide_format_integer_fallback(self):
         """Formats too wide for exact float64 dot products must take the
-        integer fallback and still match the float path bit for bit."""
-        from repro.core.quantization import chunk_plane_values
-
+        integer fallback and still match the float reference bit for
+        bit."""
         quant = QuantConfig(total_bits=28, chunk_bits=4)
         config = TokenPickerConfig(threshold=2e-3, quant=quant)
         rng = np.random.default_rng(17)
@@ -243,44 +314,27 @@ class TestBitIdenticalEquivalence:
         )
         k_sc = rng.uniform(1e-8, 2e-8, size=(n_seqs, n_heads))
         q_sc = rng.uniform(1e-8, 2e-8, size=(n_seqs, n_heads))
-        planes = []
-        for s in range(n_seqs):
-            codes = np.clip(
-                np.rint(keys[s] / k_sc[s][:, None, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            planes.append(
-                chunk_plane_values(codes, quant).transpose(0, 3, 1, 2)
-            )
+        v_sc = np.ones((n_seqs, n_heads))
+        k_arena, _, segments = self._pool_encoded_arena(
+            keys, values, k_sc, v_sc, quant, np.float64
+        )
         encoded = token_picker_attention_ragged(
-            qs, None, None, config,
-            q_scales=q_sc, k_scales=k_sc, k_planes=planes,
+            qs, config,
+            k_plane_arena=k_arena, segments=segments,
+            q_scales=q_sc, k_scales=k_sc,
         )
-        floats = token_picker_attention_ragged(
-            qs, keys, None, config, q_scales=q_sc, k_scales=k_sc
+        _assert_matches_references(
+            encoded,
+            _references(config, qs, keys, None, (q_sc, k_sc, v_sc)),
         )
-        for s in range(n_seqs):
-            _assert_identical(encoded.results[s], floats.results[s])
 
-    def test_planes_require_scales(self):
-        rng = np.random.default_rng(0)
-        config = TokenPickerConfig()
-        qs = rng.normal(size=(1, 2, 8))
-        planes = [np.zeros((2, config.quant.n_chunks, 5, 8))]
-        with pytest.raises(ValueError, match="k_scales"):
-            token_picker_attention_ragged(qs, None, None, config, k_planes=planes)
-        with pytest.raises(ValueError, match="keys or"):
-            token_picker_attention_ragged(qs, None, None, config)
-
-    @pytest.mark.parametrize("backend", ["eager", "numpy"])
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_arena_path_matches_batched(self, backend):
         """The zero-copy packed-arena path (token-major digit planes +
-        segment table, dead gaps between slabs) must be bit-identical to
-        independent batched calls — the serving engine's contract.  The
-        lazy backend relaxes only the *pruned* tokens' reported scores
-        (certified upper bounds instead of full-depth values)."""
-        scores = "exact" if backend == "eager" else "bound"
+        segment table, dead gaps between slabs) must follow the
+        bound-score contract against independent batched calls — the
+        serving engine's contract — under either contraction backend
+        (``numba`` falls back to NumPy when it is not installed)."""
         for dtype, seed in ((np.float32, 0), (np.float64, 1)):
             rng = np.random.default_rng(seed)
             config = TokenPickerConfig(threshold=2e-3, score_backend=backend)
@@ -288,30 +342,24 @@ class TestBitIdenticalEquivalence:
             qs, keys, values, _ = _make_batch(
                 rng, n_seqs, n_heads, head_dim, 120, with_bias=False
             )
-            q_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            k_arena, v_arena, segments = _build_arena(
-                keys, values, k_sc, v_sc, config.quant, dtype
+            scales = tuple(
+                rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
+                for _ in range(3)
             )
-            arena = token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena, segments=segments,
-                scratch=KernelScratch(),
-            )
-            for s in range(n_seqs):
-                independent = token_picker_attention_batched(
-                    qs[s], keys[s], values[s], config,
-                    q_scales=q_sc[s], k_scales=k_sc[s], v_scales=v_sc[s],
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                arena = _run_arena(
+                    config, qs, keys, values, scales, dtype,
+                    scratch=KernelScratch(),
                 )
-                _assert_identical(arena.results[s], independent, scores)
+            _assert_matches_references(
+                arena, _references(config, qs, keys, values, scales)
+            )
 
-    @pytest.mark.parametrize("backend", ["eager", "numpy"])
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
     def test_arena_scratch_reuse_across_growing_steps(self, backend):
         """Reusing one scratch across calls with growing shapes (the
         engine's decode loop) must not change any result."""
-        scores = "exact" if backend == "eager" else "bound"
         rng = np.random.default_rng(7)
         config = TokenPickerConfig(threshold=2e-3, score_backend=backend)
         n_seqs, n_heads, head_dim = 3, 2, 16
@@ -320,27 +368,18 @@ class TestBitIdenticalEquivalence:
             qs, keys, values, _ = _make_batch(
                 rng, n_seqs, n_heads, head_dim, max_len, with_bias=False
             )
-            q_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            k_arena, v_arena, segments = _build_arena(
-                keys, values, k_sc, v_sc, config.quant, np.float32
+            scales = tuple(
+                rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
+                for _ in range(3)
             )
-            arena = token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena, segments=segments,
-                scratch=scratch,
-            )
-            for s in range(n_seqs):
-                _assert_identical(
-                    arena.results[s],
-                    token_picker_attention_batched(
-                        qs[s], keys[s], values[s], config,
-                        q_scales=q_sc[s], k_scales=k_sc[s], v_scales=v_sc[s],
-                    ),
-                    scores,
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                arena = _run_arena(
+                    config, qs, keys, values, scales, scratch=scratch
                 )
+            _assert_matches_references(
+                arena, _references(config, qs, keys, values, scales)
+            )
 
     def test_arena_validation(self):
         rng = np.random.default_rng(0)
@@ -349,40 +388,35 @@ class TestBitIdenticalEquivalence:
         qs = rng.normal(size=(1, 2, 8))
         arena = np.zeros((32, 2 * quant.n_chunks, 8))
         segs = np.array([[0, 8]], dtype=np.int64)
+        ones = np.ones((1, 2))
         with pytest.raises(ValueError, match="k_scales"):
             token_picker_attention_ragged(
-                qs, None, None, config, k_plane_arena=arena, segments=segs
+                qs, config, k_plane_arena=arena, segments=segs,
+                q_scales=ones, k_scales=np.zeros((1, 2)),
             )
         with pytest.raises(ValueError, match="segments"):
             token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=np.ones((1, 2)), k_scales=np.ones((1, 2)),
-                k_plane_arena=arena,
-            )
-        with pytest.raises(ValueError, match="exclusive"):
-            token_picker_attention_ragged(
-                qs, [rng.normal(size=(2, 8, 8))], None, config,
-                k_scales=np.ones((1, 2)),
-                k_plane_arena=arena, segments=segs,
+                qs, config, k_plane_arena=arena,
+                segments=np.zeros((2, 2), dtype=np.int64),
+                q_scales=ones, k_scales=ones,
             )
         with pytest.raises(ValueError, match="within the arena"):
             token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=np.ones((1, 2)), k_scales=np.ones((1, 2)),
-                k_plane_arena=arena,
+                qs, config, k_plane_arena=arena,
                 segments=np.array([[30, 8]], dtype=np.int64),
+                q_scales=ones, k_scales=ones,
             )
         with pytest.raises(ValueError, match="float32"):
             wide = QuantConfig(total_bits=28, chunk_bits=4)
             cfg_wide = TokenPickerConfig(quant=wide)
             token_picker_attention_ragged(
-                rng.normal(size=(1, 2, 64)), None, None, cfg_wide,
-                q_scales=np.full((1, 2), 1e-8),
-                k_scales=np.full((1, 2), 1e-8),
+                rng.normal(size=(1, 2, 64)), cfg_wide,
                 k_plane_arena=np.zeros(
                     (16, 2 * wide.n_chunks, 64), dtype=np.float32
                 ),
                 segments=np.array([[0, 8]], dtype=np.int64),
+                q_scales=np.full((1, 2), 1e-8),
+                k_scales=np.full((1, 2), 1e-8),
             )
 
     def test_empty_context_sequences_mix(self):
@@ -396,19 +430,18 @@ class TestBitIdenticalEquivalence:
         ]
         values = [np.zeros((h, 0, d)), rng.normal(size=(h, 20, d)), np.zeros((h, 0, d))]
         qs = rng.normal(size=(3, h, d))
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
-        for s in range(3):
-            _assert_identical(
-                ragged.results[s],
-                token_picker_attention_batched(qs[s], keys[s], values[s], config),
-            )
+        scales = _data_scales(qs, keys, values, config.quant)
+        ragged = _run_arena(config, qs, keys, values, scales)
+        _assert_matches_references(
+            ragged, _references(config, qs, keys, values, scales)
+        )
         assert ragged.stats().n_tokens == 2 * 20
 
 
 class TestExactInFloatBoundary:
-    """The pre-encoded score paths pick float64 or int64 accumulation by
-    the 52-bit mantissa gate; formats straddling the limit must agree
-    bit-for-bit with the always-exact integer float-keys path."""
+    """The arena score path picks float64 or int64 accumulation by the
+    52-bit mantissa gate; formats straddling the limit must agree
+    bit-for-bit with the always-exact integer rectangular reference."""
 
     FORMATS = [  # (total_bits, chunk_bits, head_dim): gate = 2N-2+bl(d-1)
         (26, 13, 4),    # 52 -> float64 plane path
@@ -429,8 +462,6 @@ class TestExactInFloatBoundary:
         fmt=st.sampled_from(range(len(FORMATS))),
     )
     def test_plane_paths_straddle_52_bit_limit(self, seed, fmt):
-        from repro.core.quantization import chunk_plane_values
-
         total_bits, chunk_bits, head_dim = self.FORMATS[fmt]
         quant = QuantConfig(total_bits=total_bits, chunk_bits=chunk_bits)
         config = TokenPickerConfig(threshold=2e-3, quant=quant)
@@ -438,46 +469,12 @@ class TestExactInFloatBoundary:
         n_seqs, n_heads = 2, 2
         qs, keys, _, _ = _make_batch(rng, n_seqs, n_heads, head_dim, 24, False)
         # oracle (saturating) scales stress the most-significant chunks
-        k_sc = np.stack(
-            [np.abs(k).max(axis=(1, 2)) / quant.qmax for k in keys]
+        q_sc, k_sc, _ = _data_scales(qs, keys, keys, quant)
+        scales = (q_sc, k_sc, np.ones_like(k_sc))
+        via_arena = _run_arena(config, qs, keys, None, scales, np.float64)
+        _assert_matches_references(
+            via_arena, _references(config, qs, keys, None, scales)
         )
-        q_sc = np.abs(qs).max(axis=2) / quant.qmax
-        planes = []
-        for s in range(n_seqs):
-            codes = np.clip(
-                np.rint(keys[s] / k_sc[s][:, None, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            planes.append(chunk_plane_values(codes, quant).transpose(0, 3, 1, 2))
-        encoded = token_picker_attention_ragged(
-            qs, None, None, config,
-            q_scales=q_sc, k_scales=k_sc, k_planes=planes,
-        )
-        arena_k, _, segments = _build_arena(
-            keys, [np.zeros_like(k) for k in keys],
-            k_sc, np.ones_like(k_sc), quant, np.float64,
-        )
-        from dataclasses import replace
-
-        via_arena = {}
-        for backend in ("eager", "numpy"):
-            via_arena[backend] = token_picker_attention_ragged(
-                qs, None, None, replace(config, score_backend=backend),
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=arena_k, segments=segments,
-            )
-        floats = token_picker_attention_ragged(
-            qs, keys, None, config, q_scales=q_sc, k_scales=k_sc
-        )
-        for s in range(n_seqs):
-            _assert_identical(encoded.results[s], floats.results[s])
-            _assert_identical(
-                via_arena["eager"].results[s], floats.results[s]
-            )
-            _assert_identical(
-                via_arena["numpy"].results[s], floats.results[s], "bound"
-            )
 
 
 class TestAggregates:
@@ -485,7 +482,8 @@ class TestAggregates:
         rng = np.random.default_rng(0)
         config = TokenPickerConfig(threshold=2e-3)
         qs, keys, values, _ = _make_batch(rng, 5, 2, 16, 90, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
+        scales = _data_scales(qs, keys, values, config.quant)
+        ragged = _run_arena(config, qs, keys, values, scales)
         assert ragged.n_sequences == 5
         assert np.array_equal(
             ragged.lengths, np.array([k.shape[1] for k in keys])
@@ -496,54 +494,52 @@ class TestAggregates:
             r.stats().k_chunks_fetched for r in ragged.results
         )
 
-    def test_pack_order_longest_first(self):
-        rng = np.random.default_rng(1)
-        config = TokenPickerConfig(threshold=2e-3)
-        qs, keys, values, _ = _make_batch(rng, 6, 2, 8, 64, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
-        packed_lengths = ragged.lengths[ragged.pack_order]
-        assert all(
-            a >= b for a, b in zip(packed_lengths, packed_lengths[1:])
-        )
-
 
 class TestValidation:
+    @staticmethod
+    def _arena_case(rng, n_seqs=2, n_heads=2, t=5, d=8):
+        config = TokenPickerConfig()
+        qs = rng.normal(size=(n_seqs, n_heads, d))
+        keys = [rng.normal(size=(n_heads, t, d))] * n_seqs
+        scales = _data_scales(qs, keys, keys, config.quant)
+        k_arena, v_arena, segments = _build_arena(
+            keys, keys, scales[1], scales[2], config.quant, np.float32
+        )
+        kwargs = dict(
+            k_plane_arena=k_arena, segments=segments,
+            q_scales=scales[0], k_scales=scales[1], v_arena=v_arena,
+        )
+        return qs, keys, kwargs
+
     def test_both_schedules(self):
         """The fused kernels realise the hardware's breadth order only;
         the depth reference stays a per-sequence schedule."""
         rng = np.random.default_rng(0)
+        qs, keys, kwargs = self._arena_case(rng)
         depth = TokenPickerConfig(schedule="depth")
-        qs = rng.normal(size=(2, 2, 8))
-        keys = [rng.normal(size=(2, 5, 8))] * 2
         with pytest.raises(ValueError, match="breadth"):
-            token_picker_attention_ragged(qs, keys, None, depth)
+            token_picker_attention_ragged(qs, depth, **kwargs)
         with pytest.raises(ValueError, match="breadth"):
             token_picker_attention_batched(qs[0], keys[0], None, depth)
         breadth = TokenPickerConfig(schedule="breadth")
-        assert token_picker_attention_ragged(qs, keys, None, breadth).n_sequences == 2
+        assert token_picker_attention_ragged(qs, breadth, **kwargs).n_sequences == 2
 
     def test_shape_errors(self):
         rng = np.random.default_rng(0)
         config = TokenPickerConfig()
-        qs = rng.normal(size=(2, 2, 8))
-        good = [rng.normal(size=(2, 5, 8))] * 2
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(qs[0], good, None, config)
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(qs, good[:1], None, config)
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(
-                qs, [rng.normal(size=(3, 5, 8))] * 2, None, config
-            )
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(
-                qs, good, [rng.normal(size=(2, 6, 8))] * 2, config
-            )
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(
-                qs, good, None, config, score_bias=[np.zeros((2, 4))] * 2
-            )
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(
-                qs, good, None, config, q_scales=np.zeros((2, 2))
-            )
+        qs, _, kwargs = self._arena_case(rng)
+        bad_cases = [
+            (qs[0], {}),  # qs must be (S, H, d)
+            (qs, {"segments": kwargs["segments"][:1]}),
+            (qs, {"k_plane_arena": kwargs["k_plane_arena"][:, :3]}),
+            (qs, {"v_arena": kwargs["v_arena"][:, :1]}),
+            (qs, {"score_bias": [np.zeros((2, 4))] * 2}),
+            (qs, {"score_bias": [None]}),
+            (qs, {"q_scales": np.zeros((2, 2))}),
+            (qs, {"k_scales": np.ones((2, 3))}),
+        ]
+        for bad_qs, override in bad_cases:
+            with pytest.raises(ValueError):
+                token_picker_attention_ragged(
+                    bad_qs, config, **{**kwargs, **override}
+                )

@@ -9,8 +9,8 @@ properties:
   ``RuntimeWarning`` per process, then silence) to the bit-identical
   NumPy implementation when it is not — so configs carrying the flag
   are portable to machines without numba.
-* ``"eager"`` is a kernel-path selector, not a contraction backend —
-  resolving it is an error, but configuring it is valid.
+* ``"eager"`` (the retired full-table score phase) is rejected by the
+  resolver, the config and the CLI alike.
 * The compiled primitives match the NumPy ones bit for bit on every
   accumulation dtype (exact integers make the order irrelevant).
 """
@@ -49,8 +49,23 @@ class TestResolution:
         assert backend.compiled is False
 
     def test_eager_is_not_a_contraction_backend(self):
-        with pytest.raises(ValueError, match="full-table"):
+        with pytest.raises(ValueError, match="unknown score backend"):
             resolve_backend("eager")
+
+    def test_eager_config_rejected_naming_valid_backends(self):
+        assert "eager" not in VALID_SCORE_BACKENDS
+        with pytest.raises(ValueError) as excinfo:
+            TokenPickerConfig(score_backend="eager")
+        for name in VALID_SCORE_BACKENDS:
+            assert repr(name) in str(excinfo.value)
+
+    def test_cli_rejects_eager_kernel_backend(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--kernel-backend", "eager"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "invalid choice: 'eager'" in capsys.readouterr().err
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown score backend"):
@@ -140,9 +155,7 @@ class TestNumbaConfigPortability:
     def test_numba_config_runs_and_matches_numpy(self):
         """``score_backend="numba"`` must produce the numpy backend's
         exact outputs whether or not numba is installed — compiled
-        parity when present, graceful fallback when absent.  Uses the
-        packed-arena path: that is the only path the lazy pipeline (and
-        hence backend resolution) runs on."""
+        parity when present, graceful fallback when absent."""
         import repro.core.score_backend as sb
         from test_ragged_kernel import _build_arena, _make_batch
 
@@ -163,9 +176,9 @@ class TestNumbaConfigPortability:
                 keys, values, k_sc, v_sc, config.quant, np.float32
             )
             return token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena, segments=segments,
+                qs, config,
+                k_plane_arena=k_arena, segments=segments,
+                q_scales=q_sc, k_scales=k_sc, v_arena=v_arena,
             )
 
         sb._warned_numba_missing = False

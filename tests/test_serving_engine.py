@@ -1,5 +1,7 @@
 """Tests for the continuous-batching serving engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,26 @@ class TestLifecycle:
             }
             assert all(v >= 0.0 for v in report.phase_seconds.values())
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_score_subphases_sum_to_score(self, shards):
+        """The kernel books its setup (geometry, scale and margin tables)
+        into "score_chunk0", so the two sub-phases account for all of
+        "score", on a plain and on a head-sharded engine."""
+        rng = np.random.default_rng(13)
+        engine = _engine(shards=shards)
+        for _ in range(3):
+            engine.submit(synthetic_request(rng, 2, 40, 16, max_new_tokens=3))
+        busy = [r for r in engine.run_until_drained() if r.batch_size]
+        assert busy
+        for report in busy:
+            phases = report.phase_seconds
+            assert phases["score_chunk0"] > 0.0
+            assert math.isclose(
+                phases["score_chunk0"] + phases["score_refine"],
+                phases["score"],
+                rel_tol=1e-12,
+            )
+
     def test_empty_step_is_admission_tick(self):
         engine = _engine()
         report = engine.step()
@@ -216,8 +238,8 @@ class TestEquivalenceWithSessions:
             assert done.stats.counter.tokens_seen == session.counter.tokens_seen
             assert done.stats.counter.tokens_kept == session.counter.tokens_kept
             # clip semantics differ by design: the pooled engine checks each
-            # element once (when it enters the cache), the external-KV
-            # session rescans the full provided K/V every step
+            # element once (when it enters the cache), the session rescans
+            # the full caller-supplied K/V every step
             assert done.stats.clip_events <= session.clip_events
 
 
@@ -278,17 +300,6 @@ class TestValidation:
         engine.submit(synthetic_request(rng, 4, 16, 16, max_new_tokens=1))
         with pytest.raises(ValueError):
             engine.run_until_drained()
-
-    def test_pooled_sequence_rejected_by_step_external(self):
-        rng = np.random.default_rng(8)
-        engine = _engine()
-        engine.submit(synthetic_request(rng, 2, 16, 16, max_new_tokens=2))
-        report = engine.step()
-        sid = next(iter(report.per_sequence))
-        q = np.zeros((2, 16))
-        kv = np.zeros((2, 4, 16))
-        with pytest.raises(ValueError):
-            engine.step_external({sid: (q, kv, kv)})
 
     def test_unknown_sequence(self):
         engine = _engine()
@@ -393,7 +404,6 @@ class TestSchedulerBypass:
 
 class TestScheduler:
     def test_pack_order_and_utilization(self):
-        assert Scheduler.pack_order({1: 5, 2: 9, 3: 7}) == [2, 3, 1]
         assert Scheduler.ragged_utilization([10, 10]) == 1.0
         assert Scheduler.ragged_utilization([10, 5]) == pytest.approx(0.75)
         assert Scheduler.ragged_utilization([]) == 1.0

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import TokenPickerConfig, token_picker_attention_batched
+from repro.core import (
+    QuantConfig,
+    TokenPickerConfig,
+    token_picker_attention_batched,
+)
 from repro.core.session import TokenPickerSession
 
 
@@ -143,3 +147,61 @@ class TestSteps:
         session2 = TokenPickerSession(TokenPickerConfig(threshold=1e-2))
         scales_without = session2.observe_prompt(keys, values)
         assert np.all(scales_with_q.q_scale >= scales_without.q_scale)
+
+
+class TestMatchesBatchedReference:
+    """A session step is one fused arena call; against the rectangular
+    reference run with the session's frozen scales it follows the
+    bound-score contract."""
+
+    @pytest.mark.parametrize(
+        "quant, narrow, with_bias",
+        [
+            (QuantConfig(12, 4), True, False),  # clipping window
+            (QuantConfig(12, 4), False, True),  # ALiBi-style bias
+            (QuantConfig(26, 13), False, False),  # int64 fallback
+            (QuantConfig(26, 13), True, True),
+        ],
+        ids=["clip", "bias", "int64", "int64-clip-bias"],
+    )
+    def test_step_matches_batched_with_frozen_scales(
+        self, quant, narrow, with_bias
+    ):
+        keys, values, steps = _prompt_and_steps(seed=11, d=24, n_steps=5)
+        config = TokenPickerConfig(threshold=2e-3, quant=quant)
+        session = TokenPickerSession(
+            config, safety_factor=1.0 if narrow else 1.25
+        )
+        shrink = 0.5 if narrow else 1.0
+        session.observe_prompt(keys * shrink, values * shrink)
+        scales = session.scales
+        n_pruned = 0
+        for q, k, v in steps:
+            q = 3 * q  # a peaked query, so pruning has work to do
+            t = k.shape[1]
+            bias = None
+            if with_bias:
+                slopes = np.arange(1, k.shape[0] + 1)[:, None]
+                bias = -0.05 * slopes * np.arange(t)[::-1][None, :]
+            result = session.step(q, k, v, score_bias=bias)
+            reference = token_picker_attention_batched(
+                q, k, v, config, score_bias=bias,
+                q_scales=scales.q_scale, k_scales=scales.k_scale,
+                v_scales=scales.v_scale,
+            )
+            for field in (
+                "kept", "chunks_fetched", "probs", "outputs",
+                "log_denominators",
+            ):
+                assert np.array_equal(
+                    getattr(result, field), getattr(reference, field)
+                ), field
+            kept = reference.kept
+            assert np.array_equal(result.scores[kept], reference.scores[kept])
+            # pruned tokens report their certified upper bound
+            assert np.all(result.scores[~kept] >= reference.scores[~kept])
+            assert result.stats() == reference.stats()
+            n_pruned += int((~kept).sum())
+        assert n_pruned > 0
+        if narrow:
+            assert session.clip_events > 0

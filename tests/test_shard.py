@@ -308,8 +308,6 @@ class TestShardGroup:
 
         single = token_picker_attention_ragged(
             qs,
-            None,
-            None,
             CFG,
             q_scales=q_scales,
             k_scales=k_scales,
